@@ -5,6 +5,7 @@ from .classify import (
     ClassificationResult,
     GroupScore,
     NormKind,
+    classify_manifest,
     classify_speaker,
     classify_utterance,
     scalarize,
@@ -42,6 +43,7 @@ from .reference import (
     build_corpus_index,
     build_reference_set,
     compute_cell_average,
+    ingest_manifest,
     load_reference_set,
     save_reference_set,
     select_ideals,

@@ -45,14 +45,16 @@ def read_wav(path: str | Path) -> AudioClip:
     """Decode a RIFF WAV file into a normalized mono clip.
 
     16-bit PCM is scaled by 1/32767, mirroring write_wav; 32-bit float
-    is taken as-is. Either way the result is clipped to [-1, 1] and
-    stereo is down-mixed by averaging the channels.
+    is taken as-is but must be finite. Either way the result is clipped
+    to [-1, 1] and stereo is down-mixed by averaging the channels.
     """
     rate, data = wavfile.read(str(path))
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32767.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise ValueError(f"non-finite WAV samples (NaN or inf) in {path}")
     else:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
     if samples.ndim == 2:

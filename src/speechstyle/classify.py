@@ -13,6 +13,9 @@ from .features import FeatureBundle
 from .metric import Triplet, compute_triplet
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
+    from .corpus import ManifestEntry
     from .reference import ReferenceSet
 
 
@@ -119,6 +122,32 @@ def classify_utterance(
     )
 
 
+def classify_manifest(
+    entries: Sequence["ManifestEntry"],
+    bundles: dict["Path", FeatureBundle],
+    refs: "ReferenceSet",
+    norm: NormKind = NormKind.L2,
+) -> tuple[list[ClassificationResult], dict[str, list[ClassificationResult]]]:
+    """Classify every entry's bundle, looked up by path, in input order.
+
+    Returns the per-entry results in input order and each speaker's
+    results, in input order, keyed in sorted speaker order.
+    """
+    results = [classify_utterance(bundles[e.path], e.prompt, refs, norm) for e in entries]
+    by_speaker: dict[str, list[ClassificationResult]] = {}
+    for entry, result in zip(entries, results):
+        by_speaker.setdefault(entry.speaker, []).append(result)
+    return results, {speaker: by_speaker[speaker] for speaker in sorted(by_speaker)}
+
+
+def mean_scalars(results: Sequence[ClassificationResult]) -> list[float]:
+    """Each group's mean scalarized score over a speaker's utterances."""
+    return [
+        float(np.mean([r.scores[g].scalar for r in results]))
+        for g in range(len(results[0].scores))
+    ]
+
+
 def classify_speaker(results: Sequence[ClassificationResult]) -> int:
     """Majority vote over a speaker's per-utterance decisions.
 
@@ -134,8 +163,5 @@ def classify_speaker(results: Sequence[ClassificationResult]) -> int:
     tied = [g for g, count in votes.items() if count == top]
     if len(tied) == 1:
         return tied[0]
-
-    def mean_scalar(group: int) -> float:
-        return float(np.mean([r.scores[group].scalar for r in results]))
-
-    return min(tied, key=lambda g: (mean_scalar(g), g))
+    means = mean_scalars(results)
+    return min(tied, key=lambda g: (means[g], g))

@@ -12,17 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .audio import SUPPORTED_RATES
-from .classify import NormKind, classify_speaker, classify_utterance
+from .classify import NormKind, classify_manifest, classify_speaker, mean_scalars
 from .corpus import SynthConfig, generate_synthetic_corpus, load_manifest
 from .errors import ConfigMismatch, ParseError, RankOutOfRange, SpeechStyleError
 from .evaluate import AgreementReport, LabelVector, agreement, evaluate_system
 from .features import FrameConfig
 from .reference import (
     build_reference_set,
-    ingest_clip,
+    ingest_manifest,
     load_reference_set,
     save_reference_set,
 )
@@ -192,36 +190,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
     override = _frame_config_arg(args)
     if override is not None and override != refs.config:
         raise ConfigMismatch("--frame-config differs from the config the model was built with")
-    cfg = refs.config
-    norm = NormKind(args.norm)
     entries = load_manifest(args.manifest)
-    n_groups = refs.n_groups
+    bundles = ingest_manifest(entries, refs.config)
+    results, by_speaker = classify_manifest(entries, bundles, refs, NormKind(args.norm))
     header = ["speaker", "prompt", "chosen", "dominant"] + [
-        f"scalar_{g}" for g in range(n_groups)
+        f"scalar_{g}" for g in range(refs.n_groups)
     ]
-    rows: list[list[str]] = []
-    per_speaker: dict[str, list] = {}
-    rate: int | None = None
-    for entry in entries:
-        bundle, rate = ingest_clip(entry.path, cfg, rate)
-        result = classify_utterance(bundle, entry.prompt, refs, norm)
-        per_speaker.setdefault(entry.speaker, []).append(result)
-        rows.append(
-            [
-                entry.speaker,
-                str(entry.prompt),
-                str(result.chosen),
-                "true" if result.dominant else "false",
-                *(repr(s.scalar) for s in result.scores),
-            ]
-        )
-    for speaker in sorted(per_speaker):
-        results = per_speaker[speaker]
-        label = classify_speaker(results)
-        means = [
-            repr(float(np.mean([r.scores[g].scalar for r in results])))
-            for g in range(n_groups)
+    rows = [
+        [
+            entry.speaker,
+            str(entry.prompt),
+            str(result.chosen),
+            "true" if result.dominant else "false",
+            *(repr(s.scalar) for s in result.scores),
         ]
+        for entry, result in zip(entries, results)
+    ]
+    for speaker, speaker_results in by_speaker.items():
+        label = classify_speaker(speaker_results)
+        means = [repr(m) for m in mean_scalars(speaker_results)]
         rows.append([speaker, "", str(label), "", *means])
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -11,13 +11,13 @@ import numpy as np
 from .classify import (
     ClassificationResult,
     NormKind,
+    classify_manifest,
     classify_speaker,
-    classify_utterance,
 )
 from .corpus import ManifestEntry, entry_group, load_manifest
 from .errors import CellTooSmall, MissingLabel, SubjectMismatch
-from .features import FeatureBundle, FrameConfig
-from .reference import ReferenceSet, build_reference_set, ingest_clip
+from .features import FrameConfig
+from .reference import ReferenceSet, build_reference_set, ingest_manifest
 
 
 @dataclass(frozen=True)
@@ -184,24 +184,14 @@ def evaluate_system(
     """
     entries = load_manifest(manifest)
     ref_entries, test_entries = split_corpus(entries, seed)
-    bundles: dict[Path, FeatureBundle] = {}
-    rate: int | None = None
-    for entry in entries:
-        bundles[entry.path], rate = ingest_clip(entry.path, cfg, rate)
+    bundles = ingest_manifest(entries, cfg)
     refs = build_reference_set(ref_entries, cfg, threshold, norm, bundles=bundles)
-    by_speaker: dict[str, list[ManifestEntry]] = {}
-    for entry in test_entries:
-        by_speaker.setdefault(entry.speaker, []).append(entry)
-    outcomes: list[UtteranceOutcome] = []
-    system: list[tuple[str, int]] = []
-    for speaker in sorted(by_speaker):
-        results = []
-        for entry in sorted(by_speaker[speaker], key=lambda e: e.prompt):
-            result = classify_utterance(bundles[entry.path], entry.prompt, refs, norm)
-            results.append(result)
-            outcomes.append(UtteranceOutcome(speaker, entry.prompt, result))
-        system.append((speaker, classify_speaker(results)))
-    system_vector = LabelVector(entries=tuple(system))
+    ordered = sorted(test_entries, key=lambda e: (e.speaker, e.prompt))
+    results, by_speaker = classify_manifest(ordered, bundles, refs, norm)
+    outcomes = tuple(UtteranceOutcome(e.speaker, e.prompt, r) for e, r in zip(ordered, results))
+    system_vector = LabelVector(
+        entries=tuple((speaker, classify_speaker(rs)) for speaker, rs in by_speaker.items())
+    )
     expert1 = _speaker_rank(test_entries, "expert1")
     expert2 = _speaker_rank(test_entries, "expert2")
     expert1_vector = LabelVector(entries=tuple(sorted(expert1.items())))
@@ -210,7 +200,7 @@ def evaluate_system(
     return SystemEvaluation(
         reference_set=refs,
         speaker_labels=system_vector,
-        utterance_results=tuple(outcomes),
+        utterance_results=outcomes,
         vs_expert1=agreement(system_vector, expert1_vector, n_groups),
         vs_expert2=agreement(system_vector, expert2_vector, n_groups),
         expert1_vs_expert2=agreement(expert1_vector, expert2_vector, n_groups),

@@ -116,10 +116,35 @@ def _pairwise_triplets(cell: Sequence[CellUtterance]) -> list[list[Triplet]]:
     return table
 
 
+def _cell_statistics(
+    cell: Sequence[CellUtterance], norm: NormKind
+) -> tuple[CellAverage, np.ndarray]:
+    """A cell's average plus its N x N scalar matrix, zero on the diagonal.
+
+    Both come from one pair table, so each unordered pair is scored once.
+    """
+    if not cell:
+        raise EmptyCell("cannot average an empty cell")
+    n = len(cell)
+    pairs = _pairwise_triplets(cell)
+    sum_id = sum_p = sum_ir = 0.0
+    scalars = np.zeros((n, n))
+    for k in range(n):
+        for l in range(n):
+            t = pairs[k][l]
+            sum_id += t.id
+            sum_p += t.p
+            sum_ir += t.ir
+            if k != l:
+                scalars[k, l] = scalarize(t, norm)
+    mean = Triplet(sum_id / (n * n), sum_p / (n * n), sum_ir / (n * n))
+    off_diagonal = scalars[~np.eye(n, dtype=bool)]
+    variation = float(np.std(off_diagonal)) if off_diagonal.size else 0.0
+    return CellAverage(mean=mean, variation=variation, size=n), scalars
+
+
 def compute_cell_average(
-    cell: Sequence[CellUtterance],
-    norm: NormKind = NormKind.L2,
-    _pairs: list[list[Triplet]] | None = None,
+    cell: Sequence[CellUtterance], norm: NormKind = NormKind.L2
 ) -> CellAverage:
     """Average the triplet over all ordered pairs of cell utterances.
 
@@ -128,35 +153,7 @@ def compute_cell_average(
     identity triplet. The variation is the standard deviation of the
     scalarized score over the off-diagonal ordered pairs, 0 for N = 1.
     """
-    if not cell:
-        raise EmptyCell("cannot average an empty cell")
-    n = len(cell)
-    pairs = _pairs if _pairs is not None else _pairwise_triplets(cell)
-    sum_id = sum_p = sum_ir = 0.0
-    scalars: list[float] = []
-    for k in range(n):
-        for l in range(n):
-            t = pairs[k][l]
-            sum_id += t.id
-            sum_p += t.p
-            sum_ir += t.ir
-            if k != l:
-                scalars.append(scalarize(t, norm))
-    mean = Triplet(sum_id / (n * n), sum_p / (n * n), sum_ir / (n * n))
-    variation = float(np.std(scalars)) if scalars else 0.0
-    return CellAverage(mean=mean, variation=variation, size=n)
-
-
-def _scalar_matrix(
-    cell: Sequence[CellUtterance], norm: NormKind, pairs: list[list[Triplet]]
-) -> np.ndarray:
-    n = len(cell)
-    mat = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                mat[k, l] = scalarize(pairs[k][l], norm)
-    return mat
+    return _cell_statistics(cell, norm)[0]
 
 
 def _medoid(indices: list[int], scalars: np.ndarray, cell: Sequence[CellUtterance]) -> int:
@@ -174,13 +171,8 @@ def _medoid(indices: list[int], scalars: np.ndarray, cell: Sequence[CellUtteranc
 
 
 def _select_cell_ideals(
-    cell: Sequence[CellUtterance],
-    variation: float,
-    threshold: float,
-    norm: NormKind,
-    pairs: list[list[Triplet]],
+    cell: Sequence[CellUtterance], scalars: np.ndarray, variation: float, threshold: float
 ) -> tuple[int, ...]:
-    scalars = _scalar_matrix(cell, norm, pairs)
     everyone = list(range(len(cell)))
     if variation <= threshold:
         return (_medoid(everyone, scalars, cell),)
@@ -195,11 +187,10 @@ def _select_cell_ideals(
 
 def select_ideals(
     index: CorpusIndex,
-    averages: dict[tuple[int, int], CellAverage],
     threshold: float,
     norm: NormKind = NormKind.L2,
 ) -> ReferenceSet:
-    """Choose reference ideals for every cell of an indexed corpus.
+    """Average every cell of an indexed corpus and choose its ideals.
 
     A cell whose variation stays within the threshold is summarized by
     its single medoid. A more scattered cell is covered greedily: the
@@ -212,9 +203,8 @@ def select_ideals(
     cells = []
     for (prompt, group) in sorted(index.cells):
         cell = index.cell(prompt, group)
-        pairs = _pairwise_triplets(cell)
-        avg = averages[(prompt, group)]
-        picks = _select_cell_ideals(cell, avg.variation, threshold, norm, pairs)
+        avg, scalars = _cell_statistics(cell, norm)
+        picks = _select_cell_ideals(cell, scalars, avg.variation, threshold)
         cells.append(
             ReferenceCell(
                 prompt=prompt,
@@ -246,6 +236,20 @@ def ingest_clip(path: str | Path, cfg: FrameConfig, expected_rate: int | None = 
     return extract_features(strip_silence(clip), cfg), clip.sample_rate
 
 
+def ingest_manifest(
+    entries: Sequence[ManifestEntry], cfg: FrameConfig
+) -> dict[Path, FeatureBundle]:
+    """Ingest every entry's clip in manifest order, keyed by path.
+
+    The first clip's rate is the corpus rate; any other raises RateMismatch.
+    """
+    bundles: dict[Path, FeatureBundle] = {}
+    rate: int | None = None
+    for entry in entries:
+        bundles[entry.path], rate = ingest_clip(entry.path, cfg, rate)
+    return bundles
+
+
 def build_corpus_index(
     entries: Sequence[ManifestEntry],
     cfg: FrameConfig,
@@ -255,7 +259,9 @@ def build_corpus_index(
 
     Group ranks come from the truth column, falling back to expert1.
     Prompt and group counts are inferred from the largest indices seen;
-    any hole in the (prompt, group) grid raises MissingCell.
+    any hole in the (prompt, group) grid raises MissingCell. Every label
+    is checked before any clip is read; bundles, when given, must hold
+    every entry's path.
     """
     if not entries:
         raise MissingCell("manifest has no usable entries")
@@ -265,17 +271,14 @@ def build_corpus_index(
         if group is None:
             raise MissingLabel(f"{entry.path}: no truth or expert1 label")
         labeled.append((entry, group))
+    if bundles is None:
+        bundles = ingest_manifest(entries, cfg)
     n_prompts = 1 + max(e.prompt for e, _ in labeled)
     n_groups = 1 + max(g for _, g in labeled)
     cells: dict[tuple[int, int], list[CellUtterance]] = {}
-    rate: int | None = None
     for entry, group in labeled:
-        if bundles is not None:
-            bundle = bundles[entry.path]
-        else:
-            bundle, rate = ingest_clip(entry.path, cfg, rate)
         cells.setdefault((entry.prompt, group), []).append(
-            CellUtterance(speaker=entry.speaker, bundle=bundle)
+            CellUtterance(speaker=entry.speaker, bundle=bundles[entry.path])
         )
     missing = [
         (w, g)
@@ -305,30 +308,11 @@ def build_reference_set(
 ) -> ReferenceSet:
     """End-to-end reference build from manifest entries.
 
-    The pairwise triplet table of each cell is computed once and shared
-    between the average and the ideal selection.
+    A negative threshold is rejected before any clip is read.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    index = build_corpus_index(entries, cfg, bundles)
-    cells = []
-    for (prompt, group) in sorted(index.cells):
-        cell = index.cell(prompt, group)
-        pairs = _pairwise_triplets(cell)
-        avg = compute_cell_average(cell, norm, _pairs=pairs)
-        picks = _select_cell_ideals(cell, avg.variation, threshold, norm, pairs)
-        cells.append(
-            ReferenceCell(
-                prompt=prompt,
-                group=group,
-                mean=avg.mean,
-                variation=avg.variation,
-                ideals=tuple(cell[k] for k in picks),
-            )
-        )
-    return ReferenceSet(
-        config=cfg, threshold=threshold, groups=index.groups, cells=tuple(cells)
-    )
+    return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
 
 
 def _pitch_to_json(pitch: np.ndarray) -> list[float | None]:

@@ -60,3 +60,12 @@ def test_strip_silence_threshold_is_minus_60db():
 def test_all_silent_clip_becomes_empty():
     clip = strip_silence(AudioClip(np.zeros(500), 8000))
     assert clip.samples.size == 0
+
+
+def test_non_finite_float_samples_are_rejected_with_path(tmp_path):
+    path = tmp_path / "nan.wav"
+    data = np.array([0.0, 0.25, np.nan, -0.25], dtype=np.float32)
+    wavfile.write(path, 16000, data)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)

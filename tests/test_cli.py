@@ -1,7 +1,9 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from speechstyle import load_manifest, load_reference_set, write_manifest
 from speechstyle.cli import main
@@ -186,6 +188,31 @@ def test_classify_empty_manifest_writes_header_only(cli_model, capsys, tmp_path)
     )
     assert code == 0
     assert results.read_text().strip() == "speaker,prompt,chosen,dominant,scalar_0,scalar_1"
+
+
+def test_classify_rejects_nan_clip_before_writing(cli_corpus, cli_model, capsys, tmp_path):
+    entries = load_manifest(cli_corpus)
+    bad_wav = tmp_path / "nan.wav"
+    samples = np.full(6400, 0.1, dtype=np.float32)
+    samples[100] = np.nan
+    wavfile.write(bad_wav, 16000, samples)
+    # the bad clip comes last: every clip is read before any is scored
+    bad = type(entries[0])(path=bad_wav, speaker="zz", prompt=0, expert1=None, expert2=None, truth=None)
+    manifest = write_manifest([*entries, bad], tmp_path / "nan.csv")
+    results = tmp_path / "r.csv"
+    code, _, err = _run(
+        capsys,
+        "classify",
+        "--model",
+        str(cli_model),
+        "--manifest",
+        str(manifest),
+        "--out",
+        str(results),
+    )
+    assert code == 2
+    assert str(bad_wav) in err
+    assert not results.exists()
 
 
 def test_classify_rejects_unknown_prompt(cli_corpus, cli_model, capsys, tmp_path):

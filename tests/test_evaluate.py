@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechstyle import (
     AgreementReport,
@@ -86,6 +88,15 @@ def test_confusion_counts_every_subject():
         assert sum(report.confusion[rank]) == ranks_a.count(rank)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40))
+def test_agreement_properties(rank_pairs):
+    report = agreement(_vector([a for a, _ in rank_pairs]), _vector([b for _, b in rank_pairs]))
+    assert report.n == len(rank_pairs)
+    assert sum(sum(row) for row in report.confusion) == report.n
+    assert report.total_pct <= report.one_step_pct
+
+
 def test_confusion_shape_follows_n_groups():
     a = _vector([0, 3])
     b = _vector([1, 3])
@@ -146,6 +157,35 @@ def test_split_is_stratified_and_never_straddles_speakers():
         in_test = {s for s in test_speakers if s.startswith(f"g{g}")}
         assert len(in_test) == 2  # round(5 / 3)
     assert len(ref) + len(test) == len(entries)
+
+
+@st.composite
+def _shuffled_corpus(draw):
+    sizes = draw(st.lists(st.integers(3, 7), min_size=1, max_size=4))
+    prompts = draw(st.integers(1, 3))
+    entries = [
+        ManifestEntry(
+            path=Path(f"/none/g{g}s{s:02d}_p{w:02d}.wav"),
+            speaker=f"g{g}s{s:02d}",
+            prompt=w,
+            expert1=g,
+            expert2=g,
+            truth=g,
+        )
+        for g, size in enumerate(sizes)
+        for s in range(size)
+        for w in range(prompts)
+    ]
+    return draw(st.permutations(entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shuffled_corpus(), st.integers(0, 2**32 - 1))
+def test_split_properties(entries, seed):
+    ref, test = split_corpus(entries, seed)
+    assert not {e.speaker for e in ref} & {e.speaker for e in test}
+    assert len(ref) + len(test) == len(entries)
+    assert set(ref) | set(test) == set(entries)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 1), (5, 2), (6, 2), (7, 2), (9, 3)])

@@ -95,7 +95,7 @@ def test_single_medoid_matches_exhaustive_search(seed, n):
     cell = _cell(rng, n)
     index = _single_cell_index(cell)
     averages = {(0, 0): compute_cell_average(cell)}
-    refs = select_ideals(index, averages, threshold=1e9)
+    refs = select_ideals(index, threshold=1e9)
     picked = refs.cell(0, 0).ideals
     assert len(picked) == 1
 
@@ -114,7 +114,7 @@ def test_medoid_tie_prefers_smallest_speaker_id():
     rng = np.random.default_rng(68)
     bundle = make_bundle(rng, 8)
     cell = [CellUtterance(speaker=s, bundle=bundle) for s in ("s2", "s0", "s1")]
-    refs = select_ideals(_single_cell_index(cell), {(0, 0): compute_cell_average(cell)}, 0.5)
+    refs = select_ideals(_single_cell_index(cell), 0.5)
     assert [u.speaker for u in refs.cell(0, 0).ideals] == ["s0"]
 
 
@@ -123,7 +123,7 @@ def test_zero_threshold_keeps_every_distinct_utterance():
     cell = _cell(rng, 4)
     avg = compute_cell_average(cell)
     assert avg.variation > 0.0
-    refs = select_ideals(_single_cell_index(cell), {(0, 0): avg}, threshold=0.0)
+    refs = select_ideals(_single_cell_index(cell), threshold=0.0)
     assert sorted(u.speaker for u in refs.cell(0, 0).ideals) == [u.speaker for u in cell]
 
 
@@ -156,7 +156,7 @@ def test_two_cluster_cell_selects_one_ideal_per_cluster():
     threshold = intra_max + 0.25 * (inter_min - intra_max)
     avg = compute_cell_average(cell)
     assert avg.variation > threshold
-    refs = select_ideals(_single_cell_index(cell), {(0, 0): avg}, threshold)
+    refs = select_ideals(_single_cell_index(cell), threshold)
     picked = refs.cell(0, 0).ideals
     assert len(picked) == 2
     sides = {int(u.speaker[1]) < 3 for u in picked}
@@ -175,7 +175,7 @@ def test_greedy_selection_covers_everyone():
         cell = _cell(rng, 5, frames=8)
         avg = compute_cell_average(cell)
         threshold = avg.variation * 0.5
-        refs = select_ideals(_single_cell_index(cell), {(0, 0): avg}, threshold)
+        refs = select_ideals(_single_cell_index(cell), threshold)
         picked = refs.cell(0, 0).ideals
         names = [u.speaker for u in picked]
         assert len(set(names)) == len(names)
@@ -190,7 +190,7 @@ def test_negative_threshold_rejected():
     rng = np.random.default_rng(76)
     cell = _cell(rng, 2)
     with pytest.raises(ValueError):
-        select_ideals(_single_cell_index(cell), {(0, 0): compute_cell_average(cell)}, -0.1)
+        select_ideals(_single_cell_index(cell), -0.1)
     with pytest.raises(ValueError):
         build_reference_set([], FrameConfig(), threshold=-1.0)
 
