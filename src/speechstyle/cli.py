@@ -15,7 +15,7 @@ from pathlib import Path
 from .audio import SUPPORTED_RATES
 from .classify import NormKind, classify_manifest, classify_speaker, mean_scalars
 from .corpus import SynthConfig, generate_synthetic_corpus, load_manifest
-from .errors import ConfigMismatch, ParseError, RankOutOfRange, SpeechStyleError
+from .errors import ConfigMismatch, ParseError, RankOutOfRange, RateMismatch, SpeechStyleError
 from .evaluate import AgreementReport, LabelVector, agreement, evaluate_system
 from .features import FrameConfig
 from .reference import (
@@ -192,6 +192,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ConfigMismatch("--frame-config differs from the config the model was built with")
     entries = load_manifest(args.manifest)
     bundles = ingest_manifest(entries, refs.config)
+    rate = next((bundle.sample_rate for bundle in bundles.values()), None)
+    if None not in (rate, refs.sample_rate) and rate != refs.sample_rate:
+        raise RateMismatch(
+            f"{args.manifest}: clips are sampled at {rate} Hz, but model {args.model} "
+            f"was built from {refs.sample_rate} Hz clips"
+        )
     results, by_speaker = classify_manifest(entries, bundles, refs, NormKind(args.norm))
     header = ["speaker", "prompt", "chosen", "dominant"] + [
         f"scalar_{g}" for g in range(refs.n_groups)

@@ -65,12 +65,14 @@ class FeatureBundle:
     spectral : (frames, n_ceps) mel cepstra
     pitch    : (frames,) f0 in Hz, NaN where unvoiced
     stress   : (frames,) log energy in dB
+    sample_rate : rate of the clip the frames were cut from, None if unknown
     """
 
     spectral: np.ndarray
     pitch: np.ndarray
     stress: np.ndarray
     config: FrameConfig
+    sample_rate: int | None = None
 
     def __post_init__(self) -> None:
         frames = self.spectral.shape[0]
@@ -208,4 +210,6 @@ def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureBundle:
     spectral = _cepstra(windowed, clip.sample_rate, cfg)
     pitch = _pitch_batch(raw_frames, clip.sample_rate, cfg)
     stress = stress_contour(raw_frames)
-    return FeatureBundle(spectral=spectral, pitch=pitch, stress=stress, config=cfg)
+    return FeatureBundle(
+        spectral=spectral, pitch=pitch, stress=stress, config=cfg, sample_rate=clip.sample_rate
+    )

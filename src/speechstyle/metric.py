@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,31 +42,92 @@ class Triplet:
         return (self.id, self.p, self.ir)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentPath:
-    """Monotone frame pairing with its accumulated weighted cost."""
+    """Monotone frame pairing with its accumulated weighted cost.
 
-    pairs: tuple[tuple[int, int], ...]
+    rows[k] and cols[k] are the frame indices of the k-th pair, from
+    (0, 0) to (len(a) - 1, len(b) - 1).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
     cost: float
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
-def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
-    """Globally optimal DTW alignment of two feature tracks.
 
-    Per-cell cost is the Euclidean distance between frame vectors; step
-    weights are 2 for a diagonal move and 1 for horizontal or vertical,
-    with the start cell weighted like a diagonal entry so that the
-    weights along any full path sum to len(a) + len(b). Ties during
-    backtrace prefer diagonal, then vertical, then horizontal.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("cannot align an empty track")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"tracks have {a.shape[1]} and {b.shape[1]} coefficients per frame"
+_KERNEL_SOURCE = Path(__file__).with_name("_dtw.c")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+
+
+def _build_kernel() -> Path:
+    """Compile _dtw.c into the user cache once per source and flag set."""
+    import hashlib
+    import subprocess
+
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "speechstyle"
+    target = cache / f"dtw-{digest}.so"
+    if target.exists():
+        return target
+    cache.mkdir(parents=True, exist_ok=True)
+    # A per-process name plus an atomic rename: concurrent builds never
+    # load a half-written object.
+    partial = cache / f"{target.name}.{os.getpid()}.tmp"
+    try:
+        done = subprocess.run(
+            ["cc", *_KERNEL_FLAGS, "-o", str(partial), str(_KERNEL_SOURCE), "-lm"],
+            capture_output=True,
+            text=True,
         )
+        if done.returncode != 0:
+            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+    return target
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled alignment function, or None after one RuntimeWarning."""
+    try:
+        kernel = ctypes.CDLL(str(_build_kernel())).speechstyle_dtw
+    except (OSError, AttributeError) as exc:
+        warnings.warn(
+            f"compiled DTW kernel unavailable ({exc}); using the pure-Python recurrence",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    pointer = ctypes.c_void_p
+    kernel.argtypes = [pointer, pointer, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                       pointer, pointer, pointer]
+    kernel.restype = ctypes.c_int64
+    return kernel
+
+
+def _align_kernel(kernel, a: np.ndarray, b: np.ndarray) -> AlignmentPath:
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    n, m = a.shape[0], b.shape[0]
+    path = np.empty((2, n + m - 1), dtype=np.int64)
+    cost = ctypes.c_double()
+    length = kernel(
+        a.ctypes.data, b.ctypes.data, n, m, a.shape[1],
+        path.ctypes.data, path[1].ctypes.data, ctypes.byref(cost),
+    )
+    if length < 0:
+        raise MemoryError(f"no memory to align tracks of {n} and {m} frames")
+    return AlignmentPath(rows=path[0, :length], cols=path[1, :length], cost=cost.value)
+
+
+def _align_python(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
+    """The recurrence in plain Python: the kernel's specification and fallback."""
     dist = np.sqrt(((a[:, np.newaxis, :] - b[np.newaxis, :, :]) ** 2).sum(axis=2))
     n, m = dist.shape
     d = dist.tolist()
@@ -107,7 +173,35 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
         else:
             break
     pairs.reverse()
-    return AlignmentPath(pairs=tuple(pairs), cost=acc[n - 1][m - 1])
+    rows, cols = np.array(pairs, dtype=np.int64).T
+    return AlignmentPath(rows=rows, cols=cols, cost=acc[n - 1][m - 1])
+
+
+def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
+    """Globally optimal DTW alignment of two feature tracks.
+
+    Per-cell cost is the Euclidean distance between frame vectors; step
+    weights are 2 for a diagonal move and 1 for horizontal or vertical,
+    with the start cell weighted like a diagonal entry so that the
+    weights along any full path sum to len(a) + len(b). Ties during
+    backtrace prefer diagonal, then vertical, then horizontal.
+
+    The recurrence runs in a C kernel compiled on first use (_dtw.c);
+    where that cannot be built or loaded it runs in Python, with equal
+    results bit for bit.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("cannot align an empty track")
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(
+            f"tracks have {a.shape[1]} and {b.shape[1]} coefficients per frame"
+        )
+    kernel = _load_kernel()
+    if kernel is None:
+        return _align_python(a, b)
+    return _align_kernel(kernel, a, b)
 
 
 def _similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -143,15 +237,13 @@ def compute_triplet(a: FeatureBundle, b: FeatureBundle) -> Triplet:
     if a.config != b.config:
         raise ConfigMismatch("feature bundles come from different frame configs")
     path = dtw_align(a.spectral, b.spectral)
-    idx_a = np.fromiter((i for i, _ in path.pairs), dtype=int)
-    idx_b = np.fromiter((j for _, j in path.pairs), dtype=int)
     id_dist = path.cost / (a.frame_count + b.frame_count)
-    pitch_a = a.pitch[idx_a]
-    pitch_b = b.pitch[idx_b]
+    pitch_a = a.pitch[path.rows]
+    pitch_b = b.pitch[path.cols]
     both_voiced = ~np.isnan(pitch_a) & ~np.isnan(pitch_b)
     if both_voiced.sum() < 2:
         p = 0.0
     else:
         p = _similarity(np.log(pitch_a[both_voiced]), np.log(pitch_b[both_voiced]))
-    ir = _similarity(a.stress[idx_a], b.stress[idx_b])
+    ir = _similarity(a.stress[path.rows], b.stress[path.cols])
     return Triplet(id=id_dist, p=p, ir=ir)

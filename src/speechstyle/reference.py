@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +24,8 @@ from .errors import (
 from .features import FeatureBundle, FrameConfig, extract_features
 from .metric import Triplet, compute_triplet
 
-MODEL_VERSION = 1
+# Version 2 added sample_rate; version 1 models load with the rate unknown.
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,27 @@ class ReferenceSet:
     def n_prompts(self) -> int:
         return 1 + max(c.prompt for c in self.cells)
 
+    @property
+    def sample_rate(self) -> int | None:
+        """Rate of the clips the ideals were extracted from; None if unknown."""
+        return next((u.bundle.sample_rate for c in self.cells for u in c.ideals), None)
+
+    @cached_property
+    def _grid(self) -> dict[int, dict[int, ReferenceCell]]:
+        """Cells by prompt, then group; the first of any duplicate wins."""
+        grid: dict[int, dict[int, ReferenceCell]] = {}
+        for c in self.cells:
+            grid.setdefault(c.prompt, {}).setdefault(c.group, c)
+        return grid
+
     def has_prompt(self, prompt: int) -> bool:
-        return any(c.prompt == prompt for c in self.cells)
+        return prompt in self._grid
 
     def cell(self, prompt: int, group: int) -> ReferenceCell:
-        for c in self.cells:
-            if c.prompt == prompt and c.group == group:
-                return c
-        raise MissingCell(f"model has no cell for prompt {prompt}, group {group}")
+        try:
+            return self._grid[prompt][group]
+        except KeyError:
+            raise MissingCell(f"model has no cell for prompt {prompt}, group {group}") from None
 
     def ideals(self, prompt: int, group: int) -> tuple[tuple[str, FeatureBundle], ...]:
         return tuple((u.speaker, u.bundle) for u in self.cell(prompt, group).ideals)
@@ -326,6 +341,7 @@ def _pitch_from_json(values: list) -> np.ndarray:
 def reference_set_to_dict(refs: ReferenceSet) -> dict:
     return {
         "version": MODEL_VERSION,
+        "sample_rate": refs.sample_rate,
         "frame_config": refs.config.to_dict(),
         "threshold": refs.threshold,
         "groups": list(refs.groups),
@@ -353,8 +369,11 @@ def reference_set_to_dict(refs: ReferenceSet) -> dict:
 def reference_set_from_dict(doc: dict) -> ReferenceSet:
     try:
         version = doc["version"]
-        if version != MODEL_VERSION:
+        if version not in (1, MODEL_VERSION):
             raise ParseError(f"unsupported model version {version}")
+        rate = doc["sample_rate"] if version == MODEL_VERSION else None
+        if rate is not None:
+            rate = int(rate)
         cfg = FrameConfig.from_dict(doc["frame_config"])
         cells = []
         for cell in doc["cells"]:
@@ -367,6 +386,7 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
                         pitch=_pitch_from_json(item["pitch"]),
                         stress=np.array(item["stress"], dtype=np.float64),
                         config=cfg,
+                        sample_rate=rate,
                     ),
                 )
                 for item in cell["ideals"]

@@ -215,6 +215,29 @@ def test_classify_rejects_nan_clip_before_writing(cli_corpus, cli_model, capsys,
     assert not results.exists()
 
 
+def test_classify_rejects_manifest_at_another_rate_than_the_model(cli_corpus, capsys, tmp_path):
+    corpus = tmp_path / "corpus44k"
+    assert main(["synth", "--out", str(corpus), "--groups", "2", "--speakers-per-group", "2",
+                 "--prompts", "1", "--duration-ms", "400", "--sample-rate", "44100"]) == 0
+    model = tmp_path / "model44k.json"
+    assert main(["build-refs", "--manifest", str(corpus / "manifest.csv"), "--out", str(model)]) == 0
+    capsys.readouterr()
+    results = tmp_path / "r.csv"
+    code, _, err = _run(
+        capsys,
+        "classify",
+        "--model",
+        str(model),
+        "--manifest",
+        str(cli_corpus),
+        "--out",
+        str(results),
+    )
+    assert code == 2
+    assert "16000" in err and "44100" in err and str(model) in err
+    assert not results.exists()
+
+
 def test_classify_rejects_unknown_prompt(cli_corpus, cli_model, capsys, tmp_path):
     entries = load_manifest(cli_corpus)
     bumped = [

@@ -1,8 +1,13 @@
+import shutil
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import brute_force_dtw_cost, make_bundle
-from speechstyle import FrameConfig, compute_triplet, dtw_align
+from speechstyle import FrameConfig, compute_triplet, dtw_align, metric
 from speechstyle.errors import ConfigMismatch, DimensionMismatch
 
 
@@ -48,6 +53,78 @@ def test_dtw_path_is_monotone_and_complete():
     assert path.pairs[-1] == (11, 8)
     for (i0, j0), (i1, j1) in zip(path.pairs, path.pairs[1:]):
         assert (i1 - i0, j1 - j0) in {(1, 0), (0, 1), (1, 1)}
+
+
+@st.composite
+def _tracks(draw, max_frames=40, dims=st.one_of(st.integers(1, 40), st.sampled_from([129, 136, 200, 300]))):
+    """Two tracks of one dimension; dims over 128 take numpy's pairwise split."""
+    n, m, dim = draw(st.integers(1, max_frames)), draw(st.integers(1, max_frames)), draw(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integers give many exactly equal distances, so ties decide the path
+        return rng.integers(-2, 3, size=(n, dim)) * 1.0, rng.integers(-2, 3, size=(m, dim)) * 1.0
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    return rng.normal(scale=scale, size=(n, dim)), rng.normal(scale=scale, size=(m, dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tracks())
+def test_dtw_matches_python_recurrence_bit_for_bit(tracks):
+    a, b = tracks
+    got, spec = dtw_align(a, b), metric._align_python(a, b)
+    assert got.cost == spec.cost
+    assert np.array_equal(got.rows, spec.rows) and np.array_equal(got.cols, spec.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tracks(max_frames=25), st.randoms(use_true_random=False))
+def test_dtw_cost_is_at_most_any_sampled_path(tracks, random):
+    a, b = tracks
+    n, m = len(a), len(b)
+    d = np.sqrt(((a[:, np.newaxis, :] - b[np.newaxis, :, :]) ** 2).sum(axis=2)).tolist()
+    i = j = 0
+    cost = 2.0 * d[0][0]
+    while (i, j) != (n - 1, m - 1):
+        di, dj = random.choice([s for s in ((1, 1), (1, 0), (0, 1)) if i + s[0] < n and j + s[1] < m])
+        i, j = i + di, j + dj
+        cost += (2.0 if di and dj else 1.0) * d[i][j]
+    assert dtw_align(a, b).cost <= cost
+
+
+# Up to 7 coefficients numpy sums squares left to right, as the oracle does.
+@settings(max_examples=200, deadline=None)
+@given(_tracks(max_frames=6, dims=st.integers(1, 7)))
+def test_dtw_cost_matches_brute_force_on_small_shapes(tracks):
+    a, b = tracks
+    assert dtw_align(a, b).cost == brute_force_dtw_cost(a.tolist(), b.tolist())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiled_kernel_loads_where_a_compiler_exists():
+    assert metric._load_kernel() is not None
+
+
+def test_failed_kernel_build_warns_once_and_falls_back(monkeypatch):
+    rng = np.random.default_rng(32)
+    a, b = rng.normal(size=(15, 13)), rng.normal(size=(11, 13))
+    before = dtw_align(a, b)
+
+    def broken_build():
+        raise OSError("cc exited 1: simulated failure")
+
+    monkeypatch.setattr(metric, "_build_kernel", broken_build)
+    metric._load_kernel.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            paths = [dtw_align(a, b) for _ in range(3)]
+    finally:
+        metric._load_kernel.cache_clear()
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "simulated failure" in str(caught[0].message)
+    for path in paths:
+        assert path.cost == before.cost
+        assert path.pairs == before.pairs
 
 
 def test_dtw_rejects_mismatched_coefficients():

@@ -94,7 +94,6 @@ def test_single_medoid_matches_exhaustive_search(seed, n):
     rng = np.random.default_rng(seed)
     cell = _cell(rng, n)
     index = _single_cell_index(cell)
-    averages = {(0, 0): compute_cell_average(cell)}
     refs = select_ideals(index, threshold=1e9)
     picked = refs.cell(0, 0).ideals
     assert len(picked) == 1
@@ -288,6 +287,9 @@ def test_build_reference_set_from_corpus(tiny_corpus):
     assert refs.n_prompts == cfg.prompts
     assert refs.has_prompt(0) and refs.has_prompt(1)
     assert not refs.has_prompt(cfg.prompts)
+    with pytest.raises(MissingCell, match=f"model has no cell for prompt {cfg.prompts}, group 0"):
+        refs.cell(cfg.prompts, 0)
+    assert refs.sample_rate == cfg.sample_rate
     assert len(refs.cells) == cfg.prompts * cfg.groups
     speakers = {e.speaker for e in entries}
     for cell in refs.cells:
@@ -310,6 +312,7 @@ def test_model_json_round_trip(tiny_corpus, tmp_path):
     assert loaded.config == refs.config
     assert loaded.threshold == refs.threshold
     assert loaded.groups == refs.groups
+    assert loaded.sample_rate == refs.sample_rate == 16000
     assert len(loaded.cells) == len(refs.cells)
     for before, after in zip(refs.cells, loaded.cells):
         assert (after.prompt, after.group) == (before.prompt, before.group)
@@ -348,6 +351,20 @@ def test_load_rejects_unknown_version(tiny_corpus, tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="version"):
         load_reference_set(bad)
+
+
+def test_version_1_model_loads_with_rate_unknown(tiny_corpus, tmp_path):
+    _, manifest = tiny_corpus
+    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
+    doc = reference_set_to_dict(refs)
+    assert doc["version"] == 2 and doc["sample_rate"] == 16000
+    doc["version"] = 1
+    del doc["sample_rate"]
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    loaded = load_reference_set(old)
+    assert loaded.sample_rate is None
+    assert [c.ideals[0].speaker for c in loaded.cells] == [c.ideals[0].speaker for c in refs.cells]
 
 
 def test_load_rejects_invalid_json(tmp_path):
