@@ -6,12 +6,12 @@ alignment can pair pitch and stress values frame for frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .audio import AudioClip
 from .errors import ClipTooShort
@@ -122,14 +122,109 @@ def _frame_signal(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, win)[::hop]
 
 
+def _sincos_2pibyn(n: int, x: int, ang: float) -> tuple[float, float]:
+    """(cos, sin) of 2*pi*x/n, reduced to the first octant as pocketfft does."""
+    x <<= 3
+    if x < 4 * n:
+        if x < 2 * n:
+            if x < n:
+                return math.cos(x * ang), math.sin(x * ang)
+            return math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
+        x -= 2 * n
+        if x < n:
+            return -math.sin(x * ang), math.cos(x * ang)
+        return -math.cos((2 * n - x) * ang), math.sin((2 * n - x) * ang)
+    x = 8 * n - x
+    if x < 2 * n:
+        if x < n:
+            return math.cos(x * ang), -math.sin(x * ang)
+        return math.sin((2 * n - x) * ang), -math.cos((2 * n - x) * ang)
+    x -= 4 * n
+    if x < n:
+        return -math.sin(x * ang), -math.cos(x * ang)
+    return -math.cos((2 * n - x) * ang), -math.sin((2 * n - x) * ang)
+
+
+@lru_cache(maxsize=None)
+def _dct2_constants(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The 1/sqrt(2n) scale and the twiddles cos(2*pi*k/4n), k = 1..n.
+
+    Both follow pocketfft to the last bit: the scale is rounded from long
+    double like its norm_fct, and each twiddle is the product of two
+    table entries (indexed by the low and the high bits of k) whose
+    angle step 0.25*pi/(4n) is rounded from long double, like its
+    sincos_2pibyn. The twiddles come split into the post-pass operands.
+    """
+    size = 4 * n
+    pi = np.longdouble("3.141592653589793238462643383279502884197")
+    ang = float(np.longdouble(0.25) * pi / np.longdouble(size))
+    nval = (size + 2) // 2
+    shift = 1
+    while (1 << shift) * (1 << shift) < nval:
+        shift += 1
+    mask = (1 << shift) - 1
+    low = [(1.0, 0.0)] + [_sincos_2pibyn(size, i, ang) for i in range(1, mask + 1)]
+    high = [(1.0, 0.0)] + [
+        _sincos_2pibyn(size, i * (mask + 1), ang) for i in range(1, (nval + mask) // (mask + 1))
+    ]
+    tw = [
+        low[k & mask][0] * high[k >> shift][0] - low[k & mask][1] * high[k >> shift][1]
+        for k in range(1, n + 1)
+    ]
+    # The post-pass pairs column k = 1..half-1 with column n - k.
+    half = (n + 1) // 2
+    lo = np.array([tw[k - 1] for k in range(1, half)])
+    hi = np.array([tw[n - k - 1] for k in range(1, half)])
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
+    return scale, lo, hi, tw[half - 1]
+
+
+def _dct2_ortho(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of each row, bit for bit as pocketfft computes it.
+
+    The steps are pocketfft's: a butterfly on odd/even pairs packed into
+    halfcomplex order, one backward real FFT (numpy >= 2.0 runs the same
+    pocketfft), scaling by 1/sqrt(2n), the twiddle post-pass and the
+    orthonormal fix of coefficient 0.
+    """
+    rows, n = x.shape
+    # The butterfly c[0] = 2 x[0], c[k] = x[k+1] + x[k] and c[k+1] =
+    # x[k+1] - x[k] for odd k < n - 1, c[n-1] = 2 x[n-1] for even n, is
+    # written straight into the halfcomplex spectrum viewed as floats
+    # [re0, im0, re1, im1, ...], where c[j] (j >= 1) sits at index j + 1.
+    packed = np.zeros((rows, n // 2 + 1), dtype=np.complex128)
+    flat = packed.view(np.float64)
+    np.multiply(x[:, 0], 2.0, out=flat[:, 0])
+    np.add(x[:, 2:n:2], x[:, 1 : n - 1 : 2], out=flat[:, 2:n:2])
+    np.subtract(x[:, 2:n:2], x[:, 1 : n - 1 : 2], out=flat[:, 3 : n + 1 : 2])
+    if n % 2 == 0:
+        np.multiply(x[:, n - 1], 2.0, out=flat[:, n])
+    c = np.fft.irfft(packed, n, axis=1, norm="forward")
+    scale, w_lo, w_hi, w_mid = _dct2_constants(n)
+    c *= scale
+    half = (n + 1) // 2
+    lo = c[:, 1:half]
+    hi = c[:, n - 1 : n - half : -1]
+    t1 = w_lo * hi + w_hi * lo
+    t2 = w_lo * lo - w_hi * hi
+    lo[...] = 0.5 * (t1 + t2)
+    hi[...] = 0.5 * (t1 - t2)
+    if n % 2 == 0:
+        c[:, half] *= w_mid
+    c[:, 0] *= 0.5 * math.sqrt(2.0)
+    return c
+
+
 def _cepstra(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
     n_fft = _next_pow2(frames.shape[1])
     spectrum = np.fft.rfft(frames, n_fft, axis=1)
-    power = (spectrum.real**2 + spectrum.imag**2) / n_fft
+    power = spectrum.real**2
+    power += spectrum.imag**2
+    power /= n_fft
     bank = _mel_filterbank(sample_rate, n_fft, cfg.n_filters)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
-    return dct(log_energies, type=2, axis=1, norm="ortho")[:, : cfg.n_ceps]
+    return _dct2_ortho(log_energies)[:, : cfg.n_ceps]
 
 
 def _autocorrelate(frames: np.ndarray) -> np.ndarray:
@@ -137,7 +232,9 @@ def _autocorrelate(frames: np.ndarray) -> np.ndarray:
     n = frames.shape[1]
     size = _next_pow2(2 * n)
     spectrum = np.fft.rfft(frames, size, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    power = spectrum.real**2
+    power += spectrum.imag**2
+    del spectrum
     return np.fft.irfft(power, size, axis=1)[:, :n]
 
 
@@ -156,16 +253,16 @@ def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.n
     peak = ac[rows, peak_lag]
     with np.errstate(invalid="ignore", divide="ignore"):
         voiced = (r0 > 0) & (peak / np.where(r0 > 0, r0, 1.0) >= cfg.voicing_threshold)
-    for i in np.flatnonzero(voiced):
-        lag = float(peak_lag[i])
-        left, mid, right = ac[i, peak_lag[i] - 1 : peak_lag[i] + 2]
-        denom = left - 2.0 * mid + right
-        if denom < 0:
-            offset = 0.5 * (left - right) / denom
-            if abs(offset) <= 1.0:
-                lag += offset
-        f0 = sample_rate / lag
-        out[i] = min(max(f0, cfg.pitch_fmin), cfg.pitch_fmax)
+    idx = np.flatnonzero(voiced)
+    lag = peak_lag[idx]
+    left, mid, right = ac[idx, lag - 1], ac[idx, lag], ac[idx, lag + 1]
+    denom = left - 2.0 * mid + right
+    with np.errstate(invalid="ignore", divide="ignore"):
+        offset = 0.5 * (left - right) / denom
+    # Parabolic refinement only at a true peak and within one lag.
+    refined = np.where((denom < 0) & (np.abs(offset) <= 1.0), lag + offset, lag)
+    f0 = sample_rate / refined
+    out[idx] = np.minimum(np.maximum(f0, cfg.pitch_fmin), cfg.pitch_fmax)
     return out
 
 
@@ -202,7 +299,7 @@ def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureBundle:
         raise ClipTooShort(
             f"clip of {samples.size} samples is shorter than one {win}-sample window"
         )
-    raw_frames = _frame_signal(samples, win, hop)
+    raw_frames = np.ascontiguousarray(_frame_signal(samples, win, hop))
     emphasized = np.concatenate(
         ([samples[0]], samples[1:] - cfg.preemphasis * samples[:-1])
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import os
 import warnings
 from dataclasses import dataclass
@@ -65,15 +66,14 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-share
 
 def _build_kernel() -> Path:
     """Compile _dtw.c into the user cache once per source and flag set."""
-    import hashlib
-    import subprocess
-
     source = _KERNEL_SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "speechstyle"
     target = cache / f"dtw-{digest}.so"
     if target.exists():
         return target
+    import subprocess  # only a cold cache compiles
+
     cache.mkdir(parents=True, exist_ok=True)
     # A per-process name plus an atomic rename: concurrent builds never
     # load a half-written object.

@@ -1,6 +1,7 @@
 """Independent oracles and bundle builders shared by the test suite."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -76,3 +77,31 @@ def ordered_pair_scalar_std(bundles, norm):
             if k != l:
                 scalars.append(scalarize(compute_triplet(bundles[k], bundles[l]), norm))
     return float(np.std(scalars)) if scalars else 0.0
+
+
+def fmt_chunk(tag, channels, rate, bits, sub_tag=None):
+    """A WAV fmt chunk body; with sub_tag, a WAVE_FORMAT_EXTENSIBLE one."""
+    align = channels * (bits // 8)
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    if sub_tag is not None:
+        guid = struct.pack("<I", sub_tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack("<HHI", 22, bits, 0) + guid
+    return body
+
+
+def riff_wav(chunks):
+    """RIFF WAVE bytes holding (id, body) chunks in order, each padded to even length."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def write_float_wav(path, rate, data):
+    """Write float32 or float64 samples (frames, or frames x channels) as IEEE float."""
+    data = np.asarray(data)
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    fmt = fmt_chunk(0x0003, channels, rate, 8 * data.dtype.itemsize)
+    samples = data.astype(f"<f{data.dtype.itemsize}").tobytes()
+    path.write_bytes(riff_wav([(b"fmt ", fmt), (b"data", samples)]))

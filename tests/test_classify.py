@@ -1,10 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_bundle
-from speechstyle import NormKind, Triplet, classify_speaker, scalarize, score_against_group
+from speechstyle import (
+    NormKind,
+    Triplet,
+    classify_manifest,
+    classify_speaker,
+    classify_utterance,
+    scalarize,
+    score_against_group,
+)
+from speechstyle.corpus import ManifestEntry
 from speechstyle.classify import ClassificationResult, GroupScore, triplet_components
 from speechstyle.errors import EmptyCell, EmptyResults
 
@@ -162,6 +174,47 @@ def test_unknown_prompt_rejected():
     refs = _refs_from_bundles([make_bundle(rng, 8)])
     with pytest.raises(UnknownPrompt):
         classify_utterance(make_bundle(rng, 8), 3, refs)
+
+
+def _random_cells(rng, groups):
+    """Up to four ideals per group, with distinct speaker ids."""
+    return [
+        [
+            (f"s{g}-{k}", make_bundle(rng, int(rng.integers(3, 15)), ceps=5, voiced_prob=0.8))
+            for k in range(int(rng.integers(1, 5)))
+        ]
+        for g in range(groups)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_classification_does_not_depend_on_ideal_order(seed, groups, random):
+    rng = np.random.default_rng(seed)
+    cells = _random_cells(rng, groups)
+    permuted = [random.sample(cell, len(cell)) for cell in cells]
+    test = make_bundle(rng, int(rng.integers(3, 15)), ceps=5, voiced_prob=0.8)
+    for norm in NormKind:
+        expected = classify_utterance(test, 0, _FakeRefs(cells), norm)
+        assert classify_utterance(test, 0, _FakeRefs(permuted), norm) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_classify_manifest_results_do_not_depend_on_entry_order(seed, n, random):
+    rng = np.random.default_rng(seed)
+    refs = _FakeRefs(_random_cells(rng, 3))
+    entries = [
+        ManifestEntry(Path(f"u{i}.wav"), f"spk{i % 3}", 0, None, None, None) for i in range(n)
+    ]
+    bundles = {e.path: make_bundle(rng, int(rng.integers(3, 15)), ceps=5) for e in entries}
+    results, by_speaker = classify_manifest(entries, bundles, refs)
+    order = random.sample(range(n), n)
+    shuffled, shuffled_by_speaker = classify_manifest([entries[i] for i in order], bundles, refs)
+    assert shuffled == [results[i] for i in order]
+    assert list(shuffled_by_speaker) == list(by_speaker)
+    for speaker, got in shuffled_by_speaker.items():
+        assert got == [results[i] for i in order if entries[i].speaker == speaker]
 
 
 def _result(chosen, scalars, prompt=0):

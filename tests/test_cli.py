@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.io import wavfile
 
+import speechstyle
+from _helpers import write_float_wav
 from speechstyle import load_manifest, load_reference_set, write_manifest
 from speechstyle.cli import main
 
@@ -195,7 +200,7 @@ def test_classify_rejects_nan_clip_before_writing(cli_corpus, cli_model, capsys,
     bad_wav = tmp_path / "nan.wav"
     samples = np.full(6400, 0.1, dtype=np.float32)
     samples[100] = np.nan
-    wavfile.write(bad_wav, 16000, samples)
+    write_float_wav(bad_wav, 16000, samples)
     # the bad clip comes last: every clip is read before any is scored
     bad = type(entries[0])(path=bad_wav, speaker="zz", prompt=0, expert1=None, expert2=None, truth=None)
     manifest = write_manifest([*entries, bad], tmp_path / "nan.csv")
@@ -435,3 +440,25 @@ def test_agreement_missing_file_is_data_error(capsys, tmp_path):
     good = _label_file(tmp_path, "good.csv", [("x", 0)])
     code, _, err = _run(capsys, "agreement", "--a", str(tmp_path / "ghost.csv"), "--b", str(good))
     assert code == 2
+
+
+def test_cli_job_path_loads_neither_scipy_nor_numpy_random(tmp_path):
+    # numpy.random stays unloaded too: importing it costs every job memory and time
+    wav = str(tmp_path / "tone.wav")
+    script = f"""
+import sys
+import numpy as np
+import speechstyle.cli
+from speechstyle import AudioClip, FrameConfig, extract_features, read_wav, write_wav
+t = np.arange(8000) / 16000
+write_wav({wav!r}, AudioClip(0.5 * np.sin(2 * np.pi * 200 * t), 16000))
+extract_features(read_wav({wav!r}), FrameConfig())
+print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.random")))
+"""
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

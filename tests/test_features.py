@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechstyle import (
     AudioClip,
@@ -11,6 +13,7 @@ from speechstyle import (
     stress_contour,
 )
 from speechstyle.errors import ClipTooShort
+from speechstyle.features import _autocorrelate, _dct2_ortho, _pitch_batch
 
 CFG = FrameConfig()
 
@@ -116,6 +119,46 @@ def test_pitch_short_frame_skips_out_of_range_lags():
     assert abs(f0 - 400.0) <= 0.02 * 400.0
 
 
+def _pitch_frame_by_frame(frames, sample_rate, cfg):
+    """Per-frame parabolic peak refinement, one frame at a time in Python floats."""
+    n = frames.shape[1]
+    lag_min = max(math.ceil(sample_rate / cfg.pitch_fmax), 2)
+    lag_max = min(math.floor(sample_rate / cfg.pitch_fmin), n - 2)
+    ac = _autocorrelate(frames)
+    out = np.full(frames.shape[0], np.nan)
+    for i, row in enumerate(ac):
+        peak_lag = int(np.argmax(row[lag_min : lag_max + 1])) + lag_min
+        if not (row[0] > 0 and row[peak_lag] / row[0] >= cfg.voicing_threshold):
+            continue
+        left, mid, right = (float(v) for v in row[peak_lag - 1 : peak_lag + 2])
+        lag = float(peak_lag)
+        denom = left - 2.0 * mid + right
+        if denom < 0:
+            offset = 0.5 * (left - right) / denom
+            if abs(offset) <= 1.0:
+                lag += offset
+        out[i] = min(max(sample_rate / lag, cfg.pitch_fmin), cfg.pitch_fmax)
+    return out
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 44100])
+def test_pitch_batch_equals_frame_by_frame_refinement(sample_rate):
+    rng = np.random.default_rng(sample_rate)
+    win = int(round(CFG.window_ms * sample_rate / 1000.0))
+    t = np.arange(win) / sample_rate
+    frames = np.array(
+        [
+            rng.uniform(0.05, 0.9) * np.sin(2 * np.pi * rng.uniform(30.0, 700.0) * t + rng.uniform(0, 6))
+            + rng.uniform(0.0, 0.4) * rng.standard_normal(win)
+            for _ in range(200)
+        ]
+    )
+    expected = _pitch_frame_by_frame(frames, sample_rate, CFG)
+    got = _pitch_batch(frames, sample_rate, CFG)
+    assert np.isnan(expected).any() and (~np.isnan(expected)).any()
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_voiced_estimates_stay_in_configured_band():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -163,3 +206,19 @@ def test_frame_config_validation():
 def test_frame_config_dict_round_trip():
     cfg = FrameConfig(window_ms=20.0, n_ceps=10)
     assert FrameConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 300),
+    st.sampled_from([1e-6, 1e-3, 1.0, 30.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dct2_matches_scipy_bit_for_bit(n, rows, scale, seed):
+    scipy_fft = pytest.importorskip("scipy.fft")
+    x = np.random.default_rng(seed).normal(scale=scale, size=(rows, n))
+    expected = scipy_fft.dct(x, type=2, axis=1, norm="ortho")
+    got = _dct2_ortho(x)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

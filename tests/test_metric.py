@@ -154,6 +154,30 @@ def test_triplet_symmetry():
         assert abs(t_ab.ir - t_ba.ir) <= 1e-9
 
 
+_SEEDS = st.integers(0, 2**32 - 1)
+_VOICING = st.sampled_from([0.0, 0.3, 0.9, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.integers(1, 30), st.integers(1, 30), _VOICING)
+def test_triplet_id_is_exactly_symmetric(seed, n, m, voiced_prob):
+    rng = np.random.default_rng(seed)
+    a = make_bundle(rng, n, ceps=6, voiced_prob=voiced_prob)
+    b = make_bundle(rng, m, ceps=6, voiced_prob=voiced_prob)
+    assert compute_triplet(a, b).id == compute_triplet(b, a).id
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.integers(1, 40), _VOICING)
+def test_triplet_of_a_bundle_with_itself_is_exact(seed, frames, voiced_prob):
+    a = make_bundle(np.random.default_rng(seed), frames, ceps=13, voiced_prob=voiced_prob)
+    t = compute_triplet(a, a)
+    assert t.id == 0.0
+    assert t.ir == 1.0
+    if np.count_nonzero(~np.isnan(a.pitch)) >= 2:
+        assert t.p == 1.0
+
+
 def test_triplet_ranges():
     rng = np.random.default_rng(27)
     for _ in range(25):
