@@ -82,7 +82,8 @@ def read_wav(path: str | Path) -> AudioClip:
     channels. WAVE_FORMAT_EXTENSIBLE headers are read through their
     sub-format; chunks other than fmt and data are skipped. Any other
     sample format, or a file that is not RIFF WAVE or has no data chunk,
-    raises ValueError naming the path.
+    raises ValueError naming the path; a rate outside SUPPORTED_RATES
+    raises UnsupportedRate naming the path.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -103,6 +104,8 @@ def read_wav(path: str | Path) -> AudioClip:
         elif chunk == b"data":
             if fmt is None:
                 raise ValueError(f"WAV data chunk before any fmt chunk in {path}")
+            if fmt[2] not in SUPPORTED_RATES:
+                raise UnsupportedRate(f"{path}: sample rate {fmt[2]} not in {SUPPORTED_RATES}")
             samples = _mono_samples(raw, pos, size, fmt, path)
             return AudioClip(np.clip(samples, -1.0, 1.0), fmt[2])
         # Chunks are padded to an even length.

@@ -204,24 +204,34 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
     return _align_kernel(kernel, a, b)
 
 
+# _deviations and _variance run the ufunc reductions of np.mean and np.var
+# in their order, so the bits match, without those functions' Python
+# wrappers, which cost more than the sums on these short contours.
+def _deviations(x: np.ndarray) -> np.ndarray:
+    """x minus its mean, the mean taken as sum / n."""
+    x = np.asarray(x, dtype=np.float64)
+    return x - np.add.reduce(x) / x.size
+
+
+def _variance(deviations: np.ndarray) -> float:
+    """Population variance from _deviations' output; equals np.var bit for bit."""
+    return np.add.reduce(np.square(deviations)) / deviations.size
+
+
 def _similarity(u: np.ndarray, v: np.ndarray) -> float:
     """Pearson correlation with the degenerate-variance convention.
 
     Two flat contours are perfectly similar; a flat contour against a
     moving one is maximally uninformative and scores 0.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    var_u = float(np.var(u))
-    var_v = float(np.var(v))
-    u_flat = var_u < DEGENERATE_VARIANCE
-    v_flat = var_v < DEGENERATE_VARIANCE
+    du = _deviations(u)
+    dv = _deviations(v)
+    u_flat = _variance(du) < DEGENERATE_VARIANCE
+    v_flat = _variance(dv) < DEGENERATE_VARIANCE
     if u_flat and v_flat:
         return 1.0
     if u_flat or v_flat:
         return 0.0
-    du = u - u.mean()
-    dv = v - v.mean()
     r = float(np.dot(du, dv) / np.sqrt(np.dot(du, du) * np.dot(dv, dv)))
     return min(max(r, -1.0), 1.0)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -20,12 +21,17 @@ from .errors import (
     MissingLabel,
     ParseError,
     RateMismatch,
+    SpeechStyleError,
 )
 from .features import FeatureBundle, FrameConfig, extract_features
 from .metric import Triplet, compute_triplet
 
 # Version 2 added sample_rate; version 1 models load with the rate unknown.
-MODEL_VERSION = 2
+# Version 3 stores each feature track as base64 of its little-endian
+# float64 bytes; versions 1 and 2 stored JSON number lists.
+MODEL_VERSION = 3
+# The key beside "shape" that holds a track's base64 bytes.
+_ARRAY_DATA = "float64le"
 
 
 @dataclass(frozen=True)
@@ -241,14 +247,18 @@ def ingest_clip(path: str | Path, cfg: FrameConfig, expected_rate: int | None = 
     """Read one WAV, trim edge silence, and extract features.
 
     Returns (bundle, sample_rate). A rate different from expected_rate
-    raises RateMismatch; corpora must be single-rate.
+    raises RateMismatch; corpora must be single-rate. Every package
+    error raised here names the clip's path.
     """
     clip = read_wav(path)
     if expected_rate is not None and clip.sample_rate != expected_rate:
         raise RateMismatch(
             f"{path}: sample rate {clip.sample_rate} differs from corpus rate {expected_rate}"
         )
-    return extract_features(strip_silence(clip), cfg), clip.sample_rate
+    try:
+        return extract_features(strip_silence(clip), cfg), clip.sample_rate
+    except SpeechStyleError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def ingest_manifest(
@@ -330,15 +340,57 @@ def build_reference_set(
     return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
 
 
-def _pitch_to_json(pitch: np.ndarray) -> list[float | None]:
-    return [None if math.isnan(x) else float(x) for x in pitch]
-
-
 def _pitch_from_json(values: list) -> np.ndarray:
     return np.array([math.nan if v is None else float(v) for v in values], dtype=np.float64)
 
 
+def _array_to_json(values: np.ndarray) -> dict:
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return {
+        "shape": list(values.shape),
+        _ARRAY_DATA: binascii.b2a_base64(data, newline=False).decode("ascii"),
+    }
+
+
+def _array_from_json(item: dict, name: str, ndim: int) -> np.ndarray:
+    """Decode one version 3 track into an owned C-contiguous float64 array."""
+    value = item[name]
+    where = f"{name} of ideal {item['speaker']!r}"
+    shape = value["shape"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) == ndim
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ParseError(f"{where}: shape {shape!r} is not {ndim} nonnegative integer(s)")
+    try:
+        data = binascii.a2b_base64(value[_ARRAY_DATA])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: data is not base64: {exc}") from exc
+    if len(data) != 8 * math.prod(shape):
+        raise ParseError(
+            f"{where}: {len(data)} bytes of data, but shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _tracks_from_json(item: dict, version: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ideal's (spectral, pitch, stress) in the encoding of its version."""
+    if version >= 3:
+        return (
+            _array_from_json(item, "spectral", 2),
+            _array_from_json(item, "pitch", 1),
+            _array_from_json(item, "stress", 1),
+        )
+    return (
+        np.array(item["spectral"], dtype=np.float64),
+        _pitch_from_json(item["pitch"]),
+        np.array(item["stress"], dtype=np.float64),
+    )
+
+
 def reference_set_to_dict(refs: ReferenceSet) -> dict:
+    """The model document; feature tracks are exact base64 float64 arrays."""
     return {
         "version": MODEL_VERSION,
         "sample_rate": refs.sample_rate,
@@ -354,9 +406,9 @@ def reference_set_to_dict(refs: ReferenceSet) -> dict:
                 "ideals": [
                     {
                         "speaker": u.speaker,
-                        "spectral": u.bundle.spectral.tolist(),
-                        "pitch": _pitch_to_json(u.bundle.pitch),
-                        "stress": u.bundle.stress.tolist(),
+                        "spectral": _array_to_json(u.bundle.spectral),
+                        "pitch": _array_to_json(u.bundle.pitch),
+                        "stress": _array_to_json(u.bundle.stress),
                     }
                     for u in c.ideals
                 ],
@@ -367,11 +419,12 @@ def reference_set_to_dict(refs: ReferenceSet) -> dict:
 
 
 def reference_set_from_dict(doc: dict) -> ReferenceSet:
+    """Decode a model document of any version from 1 to MODEL_VERSION."""
     try:
         version = doc["version"]
-        if version not in (1, MODEL_VERSION):
+        if version not in (1, 2, MODEL_VERSION):
             raise ParseError(f"unsupported model version {version}")
-        rate = doc["sample_rate"] if version == MODEL_VERSION else None
+        rate = doc["sample_rate"] if version >= 2 else None
         if rate is not None:
             rate = int(rate)
         cfg = FrameConfig.from_dict(doc["frame_config"])
@@ -382,11 +435,7 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
                 CellUtterance(
                     speaker=item["speaker"],
                     bundle=FeatureBundle(
-                        spectral=np.array(item["spectral"], dtype=np.float64),
-                        pitch=_pitch_from_json(item["pitch"]),
-                        stress=np.array(item["stress"], dtype=np.float64),
-                        config=cfg,
-                        sample_rate=rate,
+                        *_tracks_from_json(item, version), config=cfg, sample_rate=rate
                     ),
                 )
                 for item in cell["ideals"]
@@ -422,4 +471,7 @@ def load_reference_set(path: str | Path) -> ReferenceSet:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return reference_set_from_dict(doc)
+    try:
+        return reference_set_from_dict(doc)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -24,7 +24,9 @@ def make_bundle(rng, frames, ceps=3, voiced_prob=1.0, cfg=DEFAULT_CFG):
 
 
 def euclid(u, v):
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(u, v)))
+    # d * d, not d ** 2: Python's float power goes through libm pow, which
+    # is off by one ulp for about 1 in 1,000 squares; numpy squares by product.
+    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(u, v)))
 
 
 def brute_force_dtw_cost(a, b):

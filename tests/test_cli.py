@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -462,3 +463,32 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m 
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, bad_wav):
+    """Run evaluate on the small corpus with its fourth clip swapped for bad_wav."""
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    entries[3] = dataclasses.replace(entries[3], path=bad_wav)
+    swapped = write_manifest(entries, tmp_path / "swapped.csv")
+    report = tmp_path / "report.json"
+    code, _, err = _run(capsys, "evaluate", "--manifest", str(swapped), "--out", str(report))
+    assert code == 2
+    assert str(bad_wav) in err
+    assert not report.exists()
+    return err
+
+
+def test_evaluate_names_a_silent_clip(small_corpus, capsys, tmp_path):
+    silent = tmp_path / "silent.wav"
+    speechstyle.write_wav(silent, speechstyle.AudioClip(np.zeros(8000), 16000))
+    err = _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, silent)
+    assert "shorter than one 400-sample window" in err
+
+
+def test_evaluate_names_a_clip_at_an_unsupported_rate(small_corpus, capsys, tmp_path):
+    odd_rate = tmp_path / "odd_rate.wav"
+    t = np.arange(4410) / 11025
+    write_float_wav(odd_rate, 11025, (0.5 * np.sin(2 * np.pi * 200 * t)).astype(np.float32))
+    err = _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, odd_rate)
+    assert "sample rate 11025" in err

@@ -246,3 +246,59 @@ def test_noise_increases_expected_articulation_distance():
             ids.append(compute_triplet(bundle(base), bundle(noisy)).id)
         means.append(np.mean(ids))
     assert means[0] < means[1] < means[2] < means[3]
+
+
+def _old_similarity(u, v):
+    """_similarity as it was written with np.var and ndarray.mean."""
+    var_u = float(np.var(u))
+    var_v = float(np.var(v))
+    u_flat = var_u < metric.DEGENERATE_VARIANCE
+    v_flat = var_v < metric.DEGENERATE_VARIANCE
+    if u_flat and v_flat:
+        return 1.0
+    if u_flat or v_flat:
+        return 0.0
+    du = u - u.mean()
+    dv = v - v.mean()
+    r = float(np.dot(du, dv) / np.sqrt(np.dot(du, du) * np.dot(dv, dv)))
+    return min(max(r, -1.0), 1.0)
+
+
+def _contour(seed, n, kind, scale):
+    """Constant, near-constant or moving contours at a given scale and offset."""
+    rng = np.random.default_rng(seed)
+    offset = scale * rng.normal() * 10.0
+    if kind == "constant":
+        return np.full(n, offset)
+    spread = 1e-7 if kind == "near-constant" else 1.0
+    return offset + scale * spread * rng.normal(size=n)
+
+
+_contours = st.builds(
+    _contour,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    kind=st.sampled_from(["constant", "near-constant", "moving"]),
+    scale=st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 1e3]) | st.floats(1e-6, 1e3),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_contours)
+def test_variance_and_deviations_match_numpy_bit_for_bit(x):
+    deviations = metric._deviations(x)
+    assert np.array_equal(_bits(deviations), _bits(x - x.mean()))
+    assert _bits(metric._variance(deviations)) == _bits(np.var(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=_contours, v_seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(
+    ["constant", "near-constant", "moving"]), scale=st.floats(1e-6, 1e3))
+def test_similarity_matches_the_np_var_version_bit_for_bit(u, v_seed, kind, scale):
+    v = _contour(v_seed, u.size, kind, scale)
+    assert _bits(metric._similarity(u, v)) == _bits(_old_similarity(u, v))
+    assert _bits(metric._similarity(u, u)) == _bits(_old_similarity(u, u))

@@ -1,11 +1,17 @@
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _helpers import make_bundle, ordered_pair_scalar_std, quadruple_loop_average
 from speechstyle import (
+    FeatureBundle,
     FrameConfig,
     NormKind,
     build_reference_set,
@@ -26,12 +32,16 @@ from speechstyle.errors import (
     RateMismatch,
 )
 from speechstyle.corpus import ManifestEntry
+from speechstyle.metric import Triplet
 from speechstyle.reference import (
     CellUtterance,
     CorpusIndex,
+    ReferenceCell,
+    ReferenceSet,
     build_corpus_index,
     default_group_labels,
     ingest_clip,
+    reference_set_from_dict,
     reference_set_to_dict,
 )
 
@@ -357,9 +367,8 @@ def test_version_1_model_loads_with_rate_unknown(tiny_corpus, tmp_path):
     _, manifest = tiny_corpus
     refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
     doc = reference_set_to_dict(refs)
-    assert doc["version"] == 2 and doc["sample_rate"] == 16000
-    doc["version"] = 1
-    del doc["sample_rate"]
+    assert doc["version"] == 3 and doc["sample_rate"] == 16000
+    doc = _legacy_doc(refs, version=1)
     old = tmp_path / "v1.json"
     old.write_text(json.dumps(doc))
     loaded = load_reference_set(old)
@@ -383,3 +392,134 @@ def test_load_rejects_missing_fields(tiny_corpus, tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_reference_set(bad)
+
+
+def _legacy_doc(refs, version):
+    """The model document as versions 1 and 2 wrote it: number lists, null for NaN pitch."""
+    doc = reference_set_to_dict(refs)
+    doc["version"] = version
+    if version == 1:
+        del doc["sample_rate"]
+    for cell_doc, cell in zip(doc["cells"], refs.cells):
+        for item, ideal in zip(cell_doc["ideals"], cell.ideals):
+            item["spectral"] = ideal.bundle.spectral.tolist()
+            item["pitch"] = [None if math.isnan(x) else x for x in ideal.bundle.pitch.tolist()]
+            item["stress"] = ideal.bundle.stress.tolist()
+    return doc
+
+
+def _bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+def _assert_same_tracks(a, b):
+    """Equal cells, speakers and feature tracks, bit for bit."""
+    assert len(a.cells) == len(b.cells)
+    for ca, cb in zip(a.cells, b.cells):
+        assert (ca.prompt, ca.group, ca.mean, ca.variation) == (cb.prompt, cb.group, cb.mean, cb.variation)
+        assert [u.speaker for u in ca.ideals] == [u.speaker for u in cb.ideals]
+        for ua, ub in zip(ca.ideals, cb.ideals):
+            for name in ("spectral", "pitch", "stress"):
+                x, y = getattr(ua.bundle, name), getattr(ub.bundle, name)
+                assert x.shape == y.shape
+                assert np.array_equal(_bits(x), _bits(y)), name
+
+
+def test_version_3_stores_tracks_as_base64_float64(tiny_corpus):
+    _, manifest = tiny_corpus
+    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
+    item = reference_set_to_dict(refs)["cells"][0]["ideals"][0]
+    bundle = refs.cells[0].ideals[0].bundle
+    assert item["spectral"]["shape"] == list(bundle.spectral.shape)
+    assert item["pitch"]["shape"] == [bundle.frame_count]
+    raw = bundle.stress.astype("<f8").tobytes()
+    assert base64.b64decode(item["stress"]["float64le"], validate=True) == raw
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_versions_decode_to_the_same_tracks_as_version_3(tiny_corpus, tmp_path, version):
+    _, manifest = tiny_corpus
+    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.0)
+    current = tmp_path / "v3.json"
+    save_reference_set(refs, current)
+    old = tmp_path / f"v{version}.json"
+    old.write_text(json.dumps(_legacy_doc(refs, version), indent=2) + "\n")
+    from_old = load_reference_set(old)
+    from_current = load_reference_set(current)
+    _assert_same_tracks(from_old, from_current)
+    _assert_same_tracks(from_current, refs)
+    assert from_old.sample_rate == (None if version == 1 else 16000)
+    assert current.stat().st_size < old.stat().st_size
+
+
+_TRACK_VALUES = st.floats(width=64) | st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308]
+)
+
+
+@st.composite
+def _odd_bundles(draw):
+    n = draw(st.integers(1, 200))
+    ceps = draw(st.sampled_from([1, 13]))
+    return FeatureBundle(
+        spectral=draw(arrays(np.float64, (n, ceps), elements=_TRACK_VALUES)),
+        pitch=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
+        stress=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
+        config=FrameConfig(),
+        sample_rate=16000,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundles=st.lists(_odd_bundles(), min_size=1, max_size=3))
+def test_version_3_round_trips_any_float64_bit_for_bit(bundles):
+    cell = ReferenceCell(
+        prompt=0,
+        group=0,
+        mean=Triplet(0.5, 0.25, -0.25),
+        variation=0.125,
+        ideals=tuple(CellUtterance(f"s{k}", b) for k, b in enumerate(bundles)),
+    )
+    refs = ReferenceSet(config=FrameConfig(), threshold=0.15, groups=("group0",), cells=(cell,))
+    loaded = reference_set_from_dict(json.loads(json.dumps(reference_set_to_dict(refs))))
+    _assert_same_tracks(loaded, refs)
+    for ideal in loaded.cells[0].ideals:
+        for track in (ideal.bundle.spectral, ideal.bundle.pitch, ideal.bundle.stress):
+            assert track.dtype == np.float64
+            assert track.flags.c_contiguous and track.flags.writeable and track.flags.owndata
+
+
+def _break_stress(change):
+    def mutate(doc):
+        change(doc["cells"][0]["ideals"][0]["stress"])
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (lambda doc: doc.update(version=4), "unsupported model version 4"),
+        (lambda doc: doc.pop("groups"), "malformed model file"),
+        (_break_stress(lambda t: t.update(float64le="A")), "stress of ideal .*: data is not base64"),
+        (_break_stress(lambda t: t.update(float64le="Ω")), "stress of ideal .*: data is not base64"),
+        (_break_stress(lambda t: t.update(float64le=7)), "stress of ideal .*: data is not base64"),
+        (_break_stress(lambda t: t.update(float64le=t["float64le"][:-12])), "bytes of data, but shape"),
+        (_break_stress(lambda t: t["shape"].__setitem__(0, t["shape"][0] + 1)), "bytes of data, but shape"),
+        (_break_stress(lambda t: t.update(shape=[t["shape"][0], 1])), "shape .* is not 1 nonnegative"),
+        (_break_stress(lambda t: t.update(shape=[-1])), "shape .* is not 1 nonnegative"),
+        (_break_stress(lambda t: t.update(shape=[1.5])), "shape .* is not 1 nonnegative"),
+        (_break_stress(lambda t: t.update(shape="12")), "shape .* is not 1 nonnegative"),
+        (_break_stress(lambda t: t.pop("float64le")), "malformed model file"),
+    ],
+)
+def test_model_load_errors_name_the_model_path(tiny_corpus, tmp_path, mutate, match):
+    _, manifest = tiny_corpus
+    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
+    doc = reference_set_to_dict(refs)
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=match) as caught:
+        load_reference_set(bad)
+    assert str(caught.value).startswith(f"{bad}: ")
