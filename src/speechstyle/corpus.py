@@ -61,8 +61,18 @@ def load_manifest(
     Rank fields may be empty. Relative audio paths are resolved against
     the manifest's directory. When n_prompts or n_groups are given,
     out-of-range values raise RankOutOfRange with the offending line.
+    Every ParseError and RankOutOfRange names the manifest path.
     """
     path = Path(path)
+    try:
+        return _read_manifest(path, n_prompts, n_groups)
+    except (ParseError, RankOutOfRange) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _read_manifest(
+    path: Path, n_prompts: int | None, n_groups: int | None
+) -> list[ManifestEntry]:
     base = path.parent
     entries: list[ManifestEntry] = []
     with open(path, newline="") as handle:

@@ -181,9 +181,12 @@ def evaluate_system(
     two-thirds side, every test utterance is classified, utterances are
     aggregated per speaker by majority vote, and the speaker ranks are
     compared against both experts and between the experts themselves.
+    Both expert columns are checked before any clip is read.
     """
     entries = load_manifest(manifest)
     ref_entries, test_entries = split_corpus(entries, seed)
+    expert1 = _speaker_rank(test_entries, "expert1")
+    expert2 = _speaker_rank(test_entries, "expert2")
     bundles = ingest_manifest(entries, cfg)
     refs = build_reference_set(ref_entries, cfg, threshold, norm, bundles=bundles)
     ordered = sorted(test_entries, key=lambda e: (e.speaker, e.prompt))
@@ -192,8 +195,6 @@ def evaluate_system(
     system_vector = LabelVector(
         entries=tuple((speaker, classify_speaker(rs)) for speaker, rs in by_speaker.items())
     )
-    expert1 = _speaker_rank(test_entries, "expert1")
-    expert2 = _speaker_rank(test_entries, "expert2")
     expert1_vector = LabelVector(entries=tuple(sorted(expert1.items())))
     expert2_vector = LabelVector(entries=tuple(sorted(expert2.items())))
     n_groups = refs.n_groups

@@ -243,12 +243,14 @@ def select_ideals(
     )
 
 
-def ingest_clip(path: str | Path, cfg: FrameConfig, expected_rate: int | None = None):
+def ingest_clip(
+    path: str | Path, cfg: FrameConfig, expected_rate: int | None = None
+) -> FeatureBundle:
     """Read one WAV, trim edge silence, and extract features.
 
-    Returns (bundle, sample_rate). A rate different from expected_rate
-    raises RateMismatch; corpora must be single-rate. Every package
-    error raised here names the clip's path.
+    The bundle carries the clip's sample rate. A rate different from
+    expected_rate raises RateMismatch; corpora must be single-rate. Every
+    package error raised here names the clip's path.
     """
     clip = read_wav(path)
     if expected_rate is not None and clip.sample_rate != expected_rate:
@@ -256,7 +258,7 @@ def ingest_clip(path: str | Path, cfg: FrameConfig, expected_rate: int | None = 
             f"{path}: sample rate {clip.sample_rate} differs from corpus rate {expected_rate}"
         )
     try:
-        return extract_features(strip_silence(clip), cfg), clip.sample_rate
+        return extract_features(strip_silence(clip), cfg)
     except SpeechStyleError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -271,7 +273,8 @@ def ingest_manifest(
     bundles: dict[Path, FeatureBundle] = {}
     rate: int | None = None
     for entry in entries:
-        bundles[entry.path], rate = ingest_clip(entry.path, cfg, rate)
+        bundles[entry.path] = bundle = ingest_clip(entry.path, cfg, rate)
+        rate = bundle.sample_rate
     return bundles
 
 

@@ -48,7 +48,7 @@ def spread_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("spread")
     manifest = generate_synthetic_corpus(cfg, out)
     frame_cfg = FrameConfig()
-    bundles = [ingest_clip(e.path, frame_cfg)[0] for e in load_manifest(manifest)]
+    bundles = [ingest_clip(e.path, frame_cfg) for e in load_manifest(manifest)]
     return bundles
 
 

@@ -66,9 +66,35 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "usage" in err.lower()
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    code, _, err = _run(capsys, "synth", "--out", "x", "--wibble", "3")
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("synth", "--wibble", "3"),
+        ("synth", "--norm", "l1"),
+        ("synth", "--threshold", "0.2"),
+        ("synth", "--frame-config", "{}"),
+        ("build-refs", "--seed", "5"),
+        ("classify", "--seed", "5"),
+        ("classify", "--frame-config", "{}"),
+        ("agreement", "--seed", "5"),
+        ("agreement", "--norm", "l1"),
+        ("agreement", "--threshold", "0.2"),
+        ("agreement", "--frame-config", "{}"),
+    ],
+)
+def test_unknown_flag_is_usage_error(capsys, tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    required = {
+        "synth": ["--out", str(out)],
+        "build-refs": ["--manifest", "m.csv", "--out", str(out)],
+        "classify": ["--model", "model.json", "--manifest", "m.csv", "--out", str(out)],
+        "agreement": ["--a", "a.csv", "--b", "b.csv"],
+    }[command]
+    code, stdout, err = _run(capsys, command, *required, flag, value)
     assert code == 1
+    assert "usage" in err.lower()
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_invalid_group_count_is_usage_error(capsys):
@@ -271,37 +297,16 @@ def test_classify_rejects_unknown_prompt(cli_corpus, cli_model, capsys, tmp_path
     assert "prompt 7" in err
 
 
-def test_classify_accepts_matching_inline_frame_config(cli_corpus, cli_model, capsys, tmp_path):
-    code, _, _ = _run(
-        capsys,
-        "classify",
-        "--model",
-        str(cli_model),
-        "--manifest",
-        str(cli_corpus),
-        "--out",
-        str(tmp_path / "r.csv"),
-        "--frame-config",
-        "{}",
-    )
+def test_classify_ignores_threshold_with_a_note(cli_corpus, cli_model, capsys, tmp_path):
+    plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    argv = ["classify", "--model", str(cli_model), "--manifest", str(cli_corpus), "--out"]
+    code, _, err = _run(capsys, *argv, str(plain))
     assert code == 0
-
-
-def test_classify_rejects_conflicting_frame_config(cli_corpus, cli_model, capsys, tmp_path):
-    code, _, err = _run(
-        capsys,
-        "classify",
-        "--model",
-        str(cli_model),
-        "--manifest",
-        str(cli_corpus),
-        "--out",
-        str(tmp_path / "r.csv"),
-        "--frame-config",
-        '{"n_ceps": 10}',
-    )
-    assert code == 2
-    assert "frame-config" in err
+    assert "threshold" not in err
+    code, _, err = _run(capsys, *argv, str(noted), "--threshold", "0.9")
+    assert code == 0
+    assert "ignores --threshold" in err
+    assert noted.read_bytes() == plain.read_bytes()
 
 
 def test_frame_config_file_and_bad_json(cli_corpus, capsys, tmp_path):
@@ -321,30 +326,22 @@ def test_frame_config_file_and_bad_json(cli_corpus, capsys, tmp_path):
     assert code == 0
     assert load_reference_set(model).config.n_ceps == 10
 
-    code, _, err = _run(
-        capsys,
-        "build-refs",
-        "--manifest",
-        str(cli_corpus),
-        "--out",
-        str(tmp_path / "x.json"),
-        "--frame-config",
-        "{bad",
-    )
-    assert code == 2
-    assert "JSON" in err
-
-    code, _, err = _run(
-        capsys,
-        "build-refs",
-        "--manifest",
-        str(cli_corpus),
-        "--out",
-        str(tmp_path / "y.json"),
-        "--frame-config",
-        '{"no_such_knob": 1}',
-    )
-    assert code == 2
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text("{bad\n")
+    cases = [
+        ("{bad", ["--frame-config:", "not valid JSON"]),
+        (str(bad_file), [f"--frame-config {bad_file}:", "not valid JSON"]),
+        ('{"no_such_knob": 1}', ["unknown field 'no_such_knob'"]),
+        ('{"hop_ms": 50}', ["--frame-config: hop_ms must not exceed window_ms"]),
+        ('{"n_ceps": "x"}', ["--frame-config: n_ceps must be int, got 'x'"]),
+    ]
+    for text, fragments in cases:
+        out = tmp_path / "x.json"
+        argv = ["build-refs", "--manifest", str(cli_corpus), "--out", str(out)]
+        code, _, err = _run(capsys, *argv, "--frame-config", text)
+        assert code == 2
+        assert all(fragment in err for fragment in fragments), (text, err)
+        assert not out.exists()
 
 
 def test_evaluate_writes_report_and_table(small_corpus, capsys, tmp_path):
@@ -372,6 +369,14 @@ def test_evaluate_without_out_prints_json(small_corpus, capsys):
     payload = stdout[stdout.index("{") :]
     doc = json.loads(payload)
     assert "system_vs_expert1" in doc
+
+
+def test_evaluate_names_the_manifest_in_parse_errors(capsys, tmp_path):
+    manifest = tmp_path / "bad_prompt.csv"
+    manifest.write_text("path,speaker,prompt,expert1,expert2,truth\na.wav,s,x,0,0,0\n")
+    code, _, err = _run(capsys, "evaluate", "--manifest", str(manifest))
+    assert code == 2
+    assert f"{manifest}: line 2: prompt must be an integer" in err
 
 
 def test_evaluate_missing_manifest_is_data_error(capsys, tmp_path):

@@ -210,7 +210,7 @@ def test_groups_order_by_distance_to_canonical(small_corpus):
     }
     sums: dict[int, list[float]] = {g: [] for g in range(cfg.groups)}
     for entry in load_manifest(manifest):
-        bundle, _ = ingest_clip(entry.path, frame_cfg)
+        bundle = ingest_clip(entry.path, frame_cfg)
         sums[entry.truth].append(compute_triplet(bundle, templates[entry.prompt]).id)
     means = [float(np.mean(sums[g])) for g in range(cfg.groups)]
     assert all(a > b for a, b in zip(means, means[1:]))

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from speechstyle import (
     evaluate_system,
     load_manifest,
     split_corpus,
+    write_manifest,
 )
 from speechstyle.corpus import ManifestEntry
 from speechstyle.errors import CellTooSmall, MissingLabel, SubjectMismatch
@@ -240,6 +242,14 @@ def test_split_requires_labels():
     )
     with pytest.raises(MissingLabel):
         split_corpus([entry], seed=0)
+
+
+def test_evaluate_system_checks_expert_labels_before_reading(tmp_path):
+    # the clips do not exist: reading any of them would raise OSError first
+    entries = [dataclasses.replace(e, expert2=None) for e in _fake_corpus_entries(2, 3, 1)]
+    manifest = write_manifest(entries, tmp_path / "no_expert2.csv")
+    with pytest.raises(MissingLabel, match="expert2"):
+        evaluate_system(manifest, FrameConfig())
 
 
 def test_evaluate_system_end_to_end(small_corpus):

@@ -281,8 +281,8 @@ def test_default_group_labels():
 def test_ingest_clip_rejects_rate_mismatch(tiny_corpus):
     _, manifest = tiny_corpus
     entry = load_manifest(manifest)[0]
-    bundle, rate = ingest_clip(entry.path, FrameConfig())
-    assert rate == 16000
+    bundle = ingest_clip(entry.path, FrameConfig())
+    assert bundle.sample_rate == 16000
     assert bundle.frame_count > 0
     with pytest.raises(RateMismatch):
         ingest_clip(entry.path, FrameConfig(), expected_rate=8000)
@@ -334,7 +334,7 @@ def test_model_json_round_trip(tiny_corpus, tmp_path):
             assert np.array_equal(u_before.bundle.pitch, u_after.bundle.pitch, equal_nan=True)
             assert np.array_equal(u_before.bundle.stress, u_after.bundle.stress)
 
-    probe, _ = ingest_clip(entries[-1].path, FrameConfig())
+    probe = ingest_clip(entries[-1].path, FrameConfig())
     first = classify_utterance(probe, entries[-1].prompt, refs)
     second = classify_utterance(probe, entries[-1].prompt, loaded)
     assert second.chosen == first.chosen
