@@ -28,12 +28,16 @@ from .reference import (
 
 
 class _UsageError(Exception):
-    pass
+    """A bad command line, with the usage of the parser that rejected it."""
+
+    def __init__(self, message: str, usage: str) -> None:
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def _log(message: str) -> None:
@@ -125,13 +129,13 @@ def build_parser() -> _Parser:
     p.add_argument("--duration-ms", type=_positive_float, default=700.0)
     p.add_argument("--label-noise", type=_nonneg_float, default=0.0)
     p.add_argument("--telephone-band", action="store_true")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("build-refs", help="build a reference model from a labeled manifest")
     _add_flags(p, "--norm", "--threshold", "--frame-config")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
-    p.set_defaults(func=cmd_build_refs)
+    p.set_defaults(func=cmd_build_refs, parser=p)
 
     p = sub.add_parser("classify", help="classify utterances against a model")
     _add_flags(p, "--norm")
@@ -140,25 +144,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="results CSV path")
     # Read by nothing; kept, hidden, only because perfbench's classify job passes it.
     p.add_argument("--threshold", default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("evaluate", help="run the full split/classify/agree protocol")
     _add_flags(p, "--seed", "--norm", "--threshold", "--frame-config")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None, help="report JSON path (stdout when omitted)")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, parser=p)
 
     p = sub.add_parser("agreement", help="compare two label files")
     p.add_argument("--a", required=True, help="first label CSV (subject,rank)")
     p.add_argument("--b", required=True, help="second label CSV (subject,rank)")
-    p.set_defaults(func=cmd_agreement)
+    p.set_defaults(func=cmd_agreement, parser=p)
 
     return parser
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.label_noise > 1.0:
-        raise _UsageError("--label-noise must lie in [0, 1]")
+        args.parser.error("--label-noise must lie in [0, 1]")
     cfg = SynthConfig(
         groups=args.groups,
         speakers_per_group=args.speakers_per_group,
@@ -299,11 +303,15 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Stray flags are collected by the top-level parser; they are
+        # reported with the usage of the subcommand they were given to.
+        args, stray = parser.parse_known_args(argv)
+        if stray:
+            args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(exc.usage, end="", file=sys.stderr)
         return 1
     except (SpeechStyleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

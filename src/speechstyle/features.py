@@ -7,6 +7,7 @@ alignment can pair pitch and stress values frame for frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -19,6 +20,10 @@ from .errors import ClipTooShort
 # Floors keep log() away from zero without disturbing ordinary frames.
 _ENERGY_FLOOR = 1e-12
 STRESS_FLOOR_DB = -120.0
+# Values per FFT call or row reduction (rows x row length), so that a
+# clip's temporaries stay small: 8 frames of the 4096-point pitch FFT at
+# 44.1 kHz, 32 frames of the 1024-point one at 16 kHz.
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,16 @@ def _window_sizes(cfg: FrameConfig, sample_rate: int) -> tuple[int, int]:
     win = int(round(cfg.window_ms * sample_rate / 1000.0))
     hop = int(round(cfg.hop_ms * sample_rate / 1000.0))
     return max(win, 1), max(hop, 1)
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of rows of width values each: _BLOCK_POINTS values, or one row, per slice.
+
+    numpy's FFTs and row reductions give each row the same bits whatever
+    the rows beside it, so blocks change no output.
+    """
+    step = max(1, _BLOCK_POINTS // width)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _next_pow2(n: int) -> int:
@@ -216,15 +231,21 @@ def _dct2_ortho(x: np.ndarray) -> np.ndarray:
 
 
 def _cepstra(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
-    n_fft = _next_pow2(frames.shape[1])
-    spectrum = np.fft.rfft(frames, n_fft, axis=1)
-    power = spectrum.real**2
-    power += spectrum.imag**2
+    """Mel cepstra of pre-emphasized frames, Hamming-windowed here block by block."""
+    rows, win = frames.shape
+    n_fft = _next_pow2(win)
+    window = np.hamming(win)
+    power = np.empty((rows, n_fft // 2 + 1))
+    for block in _row_blocks(rows, n_fft):
+        spectrum = np.fft.rfft(frames[block] * window, n_fft, axis=1)
+        np.square(spectrum.real, out=power[block])
+        power[block] += spectrum.imag**2
     power /= n_fft
     bank = _mel_filterbank(sample_rate, n_fft, cfg.n_filters)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
-    return _dct2_ortho(log_energies)[:, : cfg.n_ceps]
+    # A copy, not a view: the n_filters - n_ceps unused columns are freed.
+    return np.ascontiguousarray(_dct2_ortho(log_energies)[:, : cfg.n_ceps])
 
 
 def _autocorrelate(frames: np.ndarray) -> np.ndarray:
@@ -240,22 +261,28 @@ def _autocorrelate(frames: np.ndarray) -> np.ndarray:
 
 def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
     """Per-frame f0 via the normalized autocorrelation peak; NaN = unvoiced."""
-    n = frames.shape[1]
-    out = np.full(frames.shape[0], np.nan)
+    rows, n = frames.shape
+    out = np.full(rows, np.nan)
     lag_min = max(int(np.ceil(sample_rate / cfg.pitch_fmax)), 2)
     lag_max = min(int(np.floor(sample_rate / cfg.pitch_fmin)), n - 2)
     if lag_max < lag_min:
         return out
-    ac = _autocorrelate(frames)
-    r0 = ac[:, 0]
-    peak_lag = np.argmax(ac[:, lag_min : lag_max + 1], axis=1) + lag_min
-    rows = np.arange(frames.shape[0])
-    peak = ac[rows, peak_lag]
+    r0 = np.empty(rows)
+    peak_lag = np.empty(rows, dtype=np.intp)
+    # The autocorrelation at the peak lag and its two neighbours.
+    around = np.empty((rows, 3))
+    for block in _row_blocks(rows, _next_pow2(2 * n)):
+        ac = _autocorrelate(frames[block])
+        lags = np.argmax(ac[:, lag_min : lag_max + 1], axis=1) + lag_min
+        r0[block] = ac[:, 0]
+        peak_lag[block] = lags
+        around[block] = ac[np.arange(len(ac))[:, np.newaxis], lags[:, np.newaxis] + (-1, 0, 1)]
+    peak = around[:, 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         voiced = (r0 > 0) & (peak / np.where(r0 > 0, r0, 1.0) >= cfg.voicing_threshold)
     idx = np.flatnonzero(voiced)
     lag = peak_lag[idx]
-    left, mid, right = ac[idx, lag - 1], ac[idx, lag], ac[idx, lag + 1]
+    left, mid, right = around[idx].T
     denom = left - 2.0 * mid + right
     with np.errstate(invalid="ignore", divide="ignore"):
         offset = 0.5 * (left - right) / denom
@@ -280,7 +307,10 @@ def estimate_pitch(frame: np.ndarray, sample_rate: int, cfg: FrameConfig) -> flo
 
 def stress_contour(frames: np.ndarray) -> np.ndarray:
     """Log energy in dB per raw frame, floored at -120 dB."""
-    mean_square = np.mean(np.asarray(frames, dtype=np.float64) ** 2, axis=1)
+    frames = np.asarray(frames, dtype=np.float64)
+    mean_square = np.empty(frames.shape[0])
+    for block in _row_blocks(*frames.shape):
+        mean_square[block] = np.mean(frames[block] ** 2, axis=1)
     return 10.0 * np.log10(np.maximum(mean_square, 10.0 ** (STRESS_FLOOR_DB / 10.0)))
 
 
@@ -299,12 +329,12 @@ def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureBundle:
         raise ClipTooShort(
             f"clip of {samples.size} samples is shorter than one {win}-sample window"
         )
-    raw_frames = np.ascontiguousarray(_frame_signal(samples, win, hop))
     emphasized = np.concatenate(
         ([samples[0]], samples[1:] - cfg.preemphasis * samples[:-1])
     )
-    windowed = _frame_signal(emphasized, win, hop) * np.hamming(win)
-    spectral = _cepstra(windowed, clip.sample_rate, cfg)
+    spectral = _cepstra(_frame_signal(emphasized, win, hop), clip.sample_rate, cfg)
+    del emphasized  # freed before the pitch pass allocates
+    raw_frames = _frame_signal(samples, win, hop)
     pitch = _pitch_batch(raw_frames, clip.sample_rate, cfg)
     stress = stress_contour(raw_frames)
     return FeatureBundle(

@@ -6,6 +6,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,9 +76,9 @@ def _build_kernel() -> Path:
     import subprocess  # only a cold cache compiles
 
     cache.mkdir(parents=True, exist_ok=True)
-    # A per-process name plus an atomic rename: concurrent builds never
-    # load a half-written object.
-    partial = cache / f"{target.name}.{os.getpid()}.tmp"
+    # A per-process, per-thread name plus an atomic rename: concurrent
+    # builds never load a half-written object.
+    partial = cache / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         done = subprocess.run(
             ["cc", *_KERNEL_FLAGS, "-o", str(partial), str(_KERNEL_SOURCE), "-lm"],

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import binascii
+import dataclasses
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,31 +126,69 @@ def default_group_labels(n_groups: int) -> tuple[str, ...]:
     return tuple(f"group{g}" for g in range(n_groups))
 
 
-def _pairwise_triplets(cell: Sequence[CellUtterance]) -> list[list[Triplet]]:
-    """Full N x N triplet table; the diagonal is (0, 1, 1) by identity."""
-    n = len(cell)
-    table: list[list[Triplet | None]] = [[None] * n for _ in range(n)]
+def _worker_count(items: int) -> int:
+    """Threads for a map over items: one per usable CPU, at most one per item."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, items)
+
+
+def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
+    """fn of each item, yielded in item order, computed on a thread pool.
+
+    Threads pay off because numpy's FFTs and the compiled DTW kernel
+    release the interpreter lock. The first exception in item order is
+    raised; work not yet started is then cancelled. With one worker the
+    items run in order on the calling thread.
+    """
+    workers = _worker_count(len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # Imported here: at module level it would add logging to every start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _pair_tables(cells: Sequence[Sequence[CellUtterance]]) -> list[list[list[Triplet]]]:
+    """Each cell's full N x N triplet table, in cell order.
+
+    The diagonal is (0, 1, 1) by identity, and each unordered pair is
+    scored once; the pairs of all cells share one thread pool. An empty
+    cell raises EmptyCell once the cells before it are scored.
+    """
+    filled = list(itertools.takewhile(len, cells))
+    pairs = [
+        (cell[k].bundle, cell[l].bundle)
+        for cell in filled
+        for k, l in itertools.combinations(range(len(cell)), 2)
+    ]
+    scored = iter(list(_ordered_map(lambda pair: compute_triplet(*pair), pairs)))
     identity = Triplet(0.0, 1.0, 1.0)
-    for k in range(n):
-        table[k][k] = identity
-        for l in range(k + 1, n):
-            t = compute_triplet(cell[k].bundle, cell[l].bundle)
-            table[k][l] = t
-            table[l][k] = t
-    return table
+    tables = []
+    for cell in filled:
+        table = [[identity] * len(cell) for _ in cell]
+        for k, l in itertools.combinations(range(len(cell)), 2):
+            table[k][l] = table[l][k] = next(scored)
+        tables.append(table)
+    if len(filled) < len(cells):
+        raise EmptyCell("cannot average an empty cell")
+    return tables
 
 
-def _cell_statistics(
-    cell: Sequence[CellUtterance], norm: NormKind
-) -> tuple[CellAverage, np.ndarray]:
+def _cell_statistics(pairs: list[list[Triplet]], norm: NormKind) -> tuple[CellAverage, np.ndarray]:
     """A cell's average plus its N x N scalar matrix, zero on the diagonal.
 
     Both come from one pair table, so each unordered pair is scored once.
     """
-    if not cell:
-        raise EmptyCell("cannot average an empty cell")
-    n = len(cell)
-    pairs = _pairwise_triplets(cell)
+    n = len(pairs)
     sum_id = sum_p = sum_ir = 0.0
     scalars = np.zeros((n, n))
     for k in range(n):
@@ -174,7 +215,8 @@ def compute_cell_average(
     identity triplet. The variation is the standard deviation of the
     scalarized score over the off-diagonal ordered pairs, 0 for N = 1.
     """
-    return _cell_statistics(cell, norm)[0]
+    (pairs,) = _pair_tables([cell])
+    return _cell_statistics(pairs, norm)[0]
 
 
 def _medoid(indices: list[int], scalars: np.ndarray, cell: Sequence[CellUtterance]) -> int:
@@ -221,10 +263,11 @@ def select_ideals(
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    keys = sorted(index.cells)
+    utterances = [index.cell(*key) for key in keys]
     cells = []
-    for (prompt, group) in sorted(index.cells):
-        cell = index.cell(prompt, group)
-        avg, scalars = _cell_statistics(cell, norm)
+    for (prompt, group), cell, pairs in zip(keys, utterances, _pair_tables(utterances)):
+        avg, scalars = _cell_statistics(pairs, norm)
         picks = _select_cell_ideals(cell, scalars, avg.variation, threshold)
         cells.append(
             ReferenceCell(
@@ -266,15 +309,31 @@ def ingest_clip(
 def ingest_manifest(
     entries: Sequence[ManifestEntry], cfg: FrameConfig
 ) -> dict[Path, FeatureBundle]:
-    """Ingest every entry's clip in manifest order, keyed by path.
+    """Ingest every entry's clip, keyed by path, on a thread pool.
 
-    The first clip's rate is the corpus rate; any other raises RateMismatch.
+    The first clip's rate is the corpus rate; any other raises
+    RateMismatch. Clips after the first are ingested in parallel but
+    taken in manifest order, so the error raised is the first in
+    manifest order, as if the clips were read one by one.
     """
-    bundles: dict[Path, FeatureBundle] = {}
-    rate: int | None = None
-    for entry in entries:
-        bundles[entry.path] = bundle = ingest_clip(entry.path, cfg, rate)
-        rate = bundle.sample_rate
+    if not entries:
+        return {}
+    first = ingest_clip(entries[0].path, cfg)
+    bundles = {entries[0].path: first}
+    rest = entries[1:]
+    ingested = _ordered_map(
+        lambda entry: ingest_clip(entry.path, cfg, first.sample_rate), rest
+    )
+    # strict: rest runs out first, so the pool is shut down right here.
+    for entry, bundle in zip(rest, ingested, strict=True):
+        # Copied on this thread, so that the long-lived tracks do not pin
+        # memory in a worker thread's heap.
+        bundles[entry.path] = dataclasses.replace(
+            bundle,
+            spectral=bundle.spectral.copy(),
+            pitch=bundle.pitch.copy(),
+            stress=bundle.stress.copy(),
+        )
     return bundles
 
 

@@ -92,7 +92,7 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, command, flag, value):
     }[command]
     code, stdout, err = _run(capsys, command, *required, flag, value)
     assert code == 1
-    assert "usage" in err.lower()
+    assert f"usage: speechstyle {command} " in err
     assert stdout == ""
     assert not out.exists()
 
@@ -497,3 +497,25 @@ def test_evaluate_names_a_clip_at_an_unsupported_rate(small_corpus, capsys, tmp_
     write_float_wav(odd_rate, 11025, (0.5 * np.sin(2 * np.pi * 200 * t)).astype(np.float32))
     err = _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, odd_rate)
     assert "sample rate 11025" in err
+
+
+def test_evaluate_reports_the_same_first_bad_clip_at_any_worker_count(
+    small_corpus, capsys, tmp_path, monkeypatch
+):
+    odd_rate = tmp_path / "odd_rate.wav"
+    speechstyle.write_wav(odd_rate, speechstyle.AudioClip(np.full(4000, 0.5), 8000))
+    silent = tmp_path / "silent.wav"
+    speechstyle.write_wav(silent, speechstyle.AudioClip(np.zeros(8000), 16000))
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    entries[3] = dataclasses.replace(entries[3], path=odd_rate)
+    entries[7] = dataclasses.replace(entries[7], path=silent)
+    swapped = write_manifest(entries, tmp_path / "swapped.csv")
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(speechstyle.reference, "_worker_count", lambda items: workers)
+        code, stdout, err = _run(capsys, "evaluate", "--manifest", str(swapped))
+        assert (code, stdout) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: {odd_rate}: sample rate 8000 differs")

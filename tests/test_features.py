@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,18 @@ from speechstyle import (
     stress_contour,
 )
 from speechstyle.errors import ClipTooShort
-from speechstyle.features import _autocorrelate, _dct2_ortho, _pitch_batch
+from speechstyle.features import (
+    STRESS_FLOOR_DB,
+    _ENERGY_FLOOR,
+    _autocorrelate,
+    _cepstra,
+    _dct2_ortho,
+    _frame_signal,
+    _mel_filterbank,
+    _next_pow2,
+    _pitch_batch,
+    _row_blocks,
+)
 
 CFG = FrameConfig()
 
@@ -157,6 +169,63 @@ def test_pitch_batch_equals_frame_by_frame_refinement(sample_rate):
     got = _pitch_batch(frames, sample_rate, CFG)
     assert np.isnan(expected).any() and (~np.isnan(expected)).any()
     assert got.tobytes() == expected.tobytes()
+
+
+def _overlapping_frames(rows, sample_rate):
+    """rows frames of a tone with jumping level and noise, cut as extract_features cuts them.
+
+    Returns the sliding-window view the passes read and a contiguous copy.
+    """
+    rng = np.random.default_rng(rows + sample_rate)
+    win = int(round(CFG.window_ms * sample_rate / 1000.0))
+    hop = int(round(CFG.hop_ms * sample_rate / 1000.0))
+    n = win + (rows - 1) * hop
+    level = np.repeat(rng.uniform(0.0, 0.9, n // hop + 1), hop)[:n]
+    tone = np.sin(2 * np.pi * rng.uniform(60.0, 400.0) * np.arange(n) / sample_rate)
+    signal = level * tone + rng.uniform(0.0, 0.3) * rng.standard_normal(n)
+    view = _frame_signal(signal, win, hop)
+    assert view.shape == (rows, win)
+    return view, np.ascontiguousarray(view)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 44100])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 32, 33, 200])
+def test_blocked_pitch_equals_one_shot_autocorrelation(rows, sample_rate):
+    # Rows either side of a block edge: the blocked autocorrelation and
+    # pitch track carry the bits of one FFT call over every row.
+    view, frames = _overlapping_frames(rows, sample_rate)
+    one_shot = _autocorrelate(frames)
+    for block in _row_blocks(rows, _next_pow2(2 * frames.shape[1])):
+        assert _autocorrelate(view[block]).tobytes() == one_shot[block].tobytes()
+    expected = _pitch_frame_by_frame(frames, sample_rate, CFG)
+    assert _pitch_batch(view, sample_rate, CFG).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 44100])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 32, 33, 200])
+def test_blocked_cepstra_and_stress_equal_one_shot_passes(rows, sample_rate):
+    view, frames = _overlapping_frames(rows, sample_rate)
+    n_fft = _next_pow2(frames.shape[1])
+    spectrum = np.fft.rfft(frames * np.hamming(frames.shape[1]), n_fft, axis=1)
+    power = spectrum.real**2
+    power += spectrum.imag**2
+    power /= n_fft
+    energies = power @ _mel_filterbank(sample_rate, n_fft, CFG.n_filters).T
+    cepstra = _dct2_ortho(np.log(np.maximum(energies, _ENERGY_FLOOR)))[:, : CFG.n_ceps]
+    assert _cepstra(view, sample_rate, CFG).tobytes() == cepstra.tobytes()
+    mean_square = np.mean(frames**2, axis=1)
+    stress = 10.0 * np.log10(np.maximum(mean_square, 10.0 ** (STRESS_FLOOR_DB / 10.0)))
+    assert stress_contour(view).tobytes() == stress.tobytes()
+
+
+@pytest.mark.parametrize("sample_rate", [16000, 44100])
+def test_cepstra_are_an_owned_contiguous_copy_of_the_leading_dct_columns(sample_rate):
+    samples = np.random.default_rng(sample_rate).uniform(-0.5, 0.5, sample_rate // 2)
+    clip = AudioClip(samples, sample_rate)
+    spectral = extract_features(clip, CFG).spectral
+    assert spectral.flags.c_contiguous and spectral.flags.owndata and spectral.base is None
+    every_column = extract_features(clip, dataclasses.replace(CFG, n_ceps=CFG.n_filters)).spectral
+    assert spectral.tobytes() == every_column[:, : CFG.n_ceps].tobytes()
 
 
 def test_voiced_estimates_stay_in_configured_band():

@@ -1,4 +1,6 @@
+import ctypes
 import shutil
+import threading
 import warnings
 
 import numpy as np
@@ -102,6 +104,31 @@ def test_dtw_cost_matches_brute_force_on_small_shapes(tracks):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_compiled_kernel_loads_where_a_compiler_exists():
     assert metric._load_kernel() is not None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_concurrent_cold_kernel_builds_in_one_process_all_succeed(monkeypatch, tmp_path):
+    # Threads of one process compile to their own partial files, so
+    # neither overwrites nor renames away the other's object.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    results, errors = [], []
+
+    def build():
+        try:
+            results.append(metric._build_kernel())
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 3 and len(set(results)) == 1
+    assert [p.name for p in (tmp_path / "speechstyle").iterdir()] == [results[0].name]
+    assert ctypes.CDLL(str(results[0])).speechstyle_dtw is not None
 
 
 def test_failed_kernel_build_warns_once_and_falls_back(monkeypatch):

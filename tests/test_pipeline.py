@@ -1,5 +1,9 @@
 """Work counts and ordering of the shared ingest / reference / classify path."""
 
+import dataclasses
+import re
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,16 +12,19 @@ import pytest
 import speechstyle.reference as reference
 from _helpers import make_bundle
 from speechstyle import (
+    AudioClip,
     FrameConfig,
     build_reference_set,
     classify_manifest,
     classify_utterance,
     ingest_manifest,
     load_manifest,
+    save_reference_set,
     select_ideals,
+    write_wav,
 )
 from speechstyle.corpus import ManifestEntry
-from speechstyle.errors import MissingLabel
+from speechstyle.errors import ClipTooShort, MissingLabel, RateMismatch
 from speechstyle.reference import CellUtterance, CorpusIndex
 
 
@@ -72,3 +79,91 @@ def test_classify_manifest_orders_entries_and_speakers(tiny_corpus):
     assert list(by_speaker) == sorted({e.speaker for e in entries})
     for speaker, speaker_results in by_speaker.items():
         assert speaker_results == [r for e, r in zip(shuffled, results) if e.speaker == speaker]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the thread count of reference's pool; short switch intervals mix the threads."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+
+    def use(count):
+        monkeypatch.setattr(reference, "_worker_count", lambda items: count)
+
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _worker_counts(items):
+    """One, two and three threads, and more threads than items."""
+    return (1, 2, 3, items + 5)
+
+
+def _bits(bundle):
+    return [track.view(np.uint64) for track in (bundle.spectral, bundle.pitch, bundle.stress)]
+
+
+def test_ingest_manifest_is_bit_identical_at_any_worker_count(small_corpus, workers):
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    runs = []
+    for count in _worker_counts(len(entries)):
+        workers(count)
+        runs.append(ingest_manifest(entries, FrameConfig()))
+    serial = runs[0]
+    assert list(serial) == [e.path for e in entries]
+    for bundles in runs[1:]:
+        assert list(bundles) == list(serial)
+        for path, bundle in bundles.items():
+            want = serial[path]
+            assert (bundle.config, bundle.sample_rate) == (want.config, want.sample_rate)
+            for got, expected in zip(_bits(bundle), _bits(want)):
+                assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.15])
+def test_select_ideals_is_identical_at_any_worker_count(small_corpus, workers, tmp_path, threshold):
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    index = reference.build_corpus_index(entries, FrameConfig())
+    pairs = sum(len(c) * (len(c) - 1) // 2 for c in index.cells.values())
+    models = []
+    for count in _worker_counts(pairs):
+        workers(count)
+        refs = select_ideals(index, threshold)
+        path = tmp_path / f"model-{count}.json"
+        save_reference_set(refs, path)
+        models.append((refs, path.read_bytes()))
+    for refs, model in models[1:]:
+        assert refs == models[0][0]
+        assert model == models[0][1]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40])
+@pytest.mark.parametrize("first", ["wrong_rate", "silent"])
+def test_ingest_raises_for_the_first_bad_clip_in_manifest_order(
+    small_corpus, workers, monkeypatch, tmp_path, count, first
+):
+    wavs = {"wrong_rate": tmp_path / "wrong_rate.wav", "silent": tmp_path / "silent.wav"}
+    write_wav(wavs["wrong_rate"], AudioClip(np.full(4000, 0.5), 8000))
+    write_wav(wavs["silent"], AudioClip(np.zeros(8000), 16000))
+    second = "silent" if first == "wrong_rate" else "wrong_rate"
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    entries[4] = dataclasses.replace(entries[4], path=wavs[first])
+    entries[21] = dataclasses.replace(entries[21], path=wavs[second])
+    original = reference.ingest_clip
+
+    def slow_first(path, *args):
+        # The first bad clip fails last, so only manifest order picks it.
+        if path == wavs[first]:
+            time.sleep(0.05)
+        return original(path, *args)
+
+    monkeypatch.setattr(reference, "ingest_clip", slow_first)
+    workers(count)
+    error = RateMismatch if first == "wrong_rate" else ClipTooShort
+    with pytest.raises(error, match=f"^{re.escape(str(wavs[first]))}: "):
+        ingest_manifest(entries, FrameConfig())
