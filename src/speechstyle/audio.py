@@ -40,10 +40,6 @@ class AudioClip:
             raise ValueError("AudioClip samples must be one-dimensional")
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def scaled(self, gain: float) -> "AudioClip":
         return AudioClip(self.samples * gain, self.sample_rate)
 
@@ -128,13 +124,13 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
         handle.write(pcm.tobytes())
 
 
-def strip_silence(clip: AudioClip, floor_db: float = SILENCE_FLOOR_DB) -> AudioClip:
+def strip_silence(clip: AudioClip) -> AudioClip:
     """Trim leading and trailing samples below the silence floor.
 
     Interior quiet spans are kept. A clip that never rises above the
     floor comes back empty; downstream framing rejects it.
     """
-    threshold = 10.0 ** (floor_db / 20.0)
+    threshold = 10.0 ** (SILENCE_FLOOR_DB / 20.0)
     loud = np.flatnonzero(np.abs(clip.samples) >= threshold)
     if loud.size == 0:
         return AudioClip(clip.samples[:0], clip.sample_rate)

@@ -109,12 +109,11 @@ def classify_utterance(
         for g, score in enumerate(scores)
         if _dominates(score.triplet, [s.triplet for s in scores if s.group != g])
     ]
-    if len(dominant_groups) == 1:
+    dominant = len(dominant_groups) == 1
+    if dominant:
         chosen = dominant_groups[0]
-        dominant = True
     else:
         chosen = min(range(len(scores)), key=lambda g: (scores[g].scalar, g))
-        dominant = len(scores) == 1
     others = [s.scalar for s in scores if s.group != chosen]
     margin = min(others) - scores[chosen].scalar if others else 0.0
     return ClassificationResult(

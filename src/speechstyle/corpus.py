@@ -159,11 +159,7 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> Path:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs of the synthetic corpus.
-
-    The three jitter schedules hold one scale per group, rank 0 (worst)
-    first; the defaults decrease strictly as quality rises.
-    """
+    """Knobs of the synthetic corpus."""
 
     groups: int = 5
     speakers_per_group: int = 6
@@ -171,9 +167,6 @@ class SynthConfig:
     seed: int = 42
     sample_rate: int = 16000
     duration_ms: float = 700.0
-    articulation_noise: tuple[float, ...] = ()
-    pitch_shape_jitter: tuple[float, ...] = ()
-    stress_jitter: tuple[float, ...] = ()
     label_noise: float = 0.0
     telephone_band: bool = False
 
@@ -186,15 +179,10 @@ class SynthConfig:
             raise ValueError("duration_ms must be positive")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must lie in [0, 1]")
-        for name in ("articulation_noise", "pitch_shape_jitter", "stress_jitter"):
-            schedule = getattr(self, name)
-            if not schedule:
-                schedule = tuple(np.linspace(1.0, 0.12, self.groups))
-                object.__setattr__(self, name, schedule)
-            if len(schedule) != self.groups:
-                raise ValueError(f"{name} needs exactly one entry per group")
-            if any(x < 0 for x in schedule):
-                raise ValueError(f"{name} entries must be nonnegative")
+
+
+def _group_scales(groups: int) -> np.ndarray:
+    return np.linspace(1.0, 0.12, groups)
 
 
 @dataclass(frozen=True)
@@ -329,17 +317,15 @@ def _render_utterance(
     n_nodes = template.node_offsets.size
     group_rng = np.random.default_rng([cfg.seed, 23, prompt, group])
     spk_rng = np.random.default_rng([cfg.seed, 37, prompt, group, speaker_idx])
-    artic = cfg.articulation_noise[group]
-    pitch = cfg.pitch_shape_jitter[group]
-    stress = cfg.stress_jitter[group]
-    formant_shift = 2.5 * artic * group_rng.standard_normal((n_syl, 3))
-    gain_shift = 0.4 * artic * group_rng.standard_normal((n_syl, 3))
-    node_delta = 2.0 * pitch * group_rng.standard_normal(n_nodes)
-    stress_shift = 0.45 * stress * group_rng.standard_normal(n_syl)
-    formant_shift = formant_shift + 0.875 * artic * spk_rng.standard_normal((n_syl, 3))
-    gain_shift = gain_shift + 0.14 * artic * spk_rng.standard_normal((n_syl, 3))
-    node_delta = node_delta + 0.7 * pitch * spk_rng.standard_normal(n_nodes)
-    stress_shift = stress_shift + 0.16 * stress * spk_rng.standard_normal(n_syl)
+    scale = _group_scales(cfg.groups)[group]
+    formant_shift = 2.5 * scale * group_rng.standard_normal((n_syl, 3))
+    gain_shift = 0.4 * scale * group_rng.standard_normal((n_syl, 3))
+    node_delta = 2.0 * scale * group_rng.standard_normal(n_nodes)
+    stress_shift = 0.45 * scale * group_rng.standard_normal(n_syl)
+    formant_shift = formant_shift + 0.875 * scale * spk_rng.standard_normal((n_syl, 3))
+    gain_shift = gain_shift + 0.14 * scale * spk_rng.standard_normal((n_syl, 3))
+    node_delta = node_delta + 0.7 * scale * spk_rng.standard_normal(n_nodes)
+    stress_shift = stress_shift + 0.16 * scale * spk_rng.standard_normal(n_syl)
     tempo = float(np.clip(1.0 + 0.05 * spk_rng.standard_normal(), 0.85, 1.15))
     noise_rng = np.random.default_rng([cfg.seed, 41, prompt, group, speaker_idx])
     return _render(
@@ -350,7 +336,7 @@ def _render_utterance(
         node_delta,
         stress_shift,
         tempo,
-        noise_rms=0.012 * artic,
+        noise_rms=0.012 * scale,
         noise_rng=noise_rng,
     )
 

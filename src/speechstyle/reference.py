@@ -19,6 +19,7 @@ from .audio import read_wav, strip_silence
 from .classify import NormKind, scalarize
 from .corpus import ManifestEntry, entry_group
 from .errors import (
+    ConfigMismatch,
     EmptyCell,
     MissingCell,
     MissingLabel,
@@ -47,16 +48,9 @@ class CellUtterance:
 class CorpusIndex:
     """Extracted features of a labeled corpus, addressed by (prompt, group)."""
 
-    prompts: int
     groups: tuple[str, ...]
     cells: dict[tuple[int, int], tuple[CellUtterance, ...]]
     config: FrameConfig
-
-    def cell(self, prompt: int, group: int) -> tuple[CellUtterance, ...]:
-        try:
-            return self.cells[(prompt, group)]
-        except KeyError:
-            raise MissingCell(f"no utterances for prompt {prompt}, group {group}") from None
 
 
 @dataclass(frozen=True)
@@ -91,20 +85,16 @@ class ReferenceSet:
         return len(self.groups)
 
     @property
-    def n_prompts(self) -> int:
-        return 1 + max(c.prompt for c in self.cells)
-
-    @property
     def sample_rate(self) -> int | None:
         """Rate of the clips the ideals were extracted from; None if unknown."""
         return next((u.bundle.sample_rate for c in self.cells for u in c.ideals), None)
 
     @cached_property
     def _grid(self) -> dict[int, dict[int, ReferenceCell]]:
-        """Cells by prompt, then group; the first of any duplicate wins."""
+        """Cells by prompt, then group."""
         grid: dict[int, dict[int, ReferenceCell]] = {}
         for c in self.cells:
-            grid.setdefault(c.prompt, {}).setdefault(c.group, c)
+            grid.setdefault(c.prompt, {})[c.group] = c
         return grid
 
     def has_prompt(self, prompt: int) -> bool:
@@ -162,24 +152,23 @@ def _pair_tables(cells: Sequence[Sequence[CellUtterance]]) -> list[list[list[Tri
 
     The diagonal is (0, 1, 1) by identity, and each unordered pair is
     scored once; the pairs of all cells share one thread pool. An empty
-    cell raises EmptyCell once the cells before it are scored.
+    cell raises EmptyCell before any pair is scored.
     """
-    filled = list(itertools.takewhile(len, cells))
+    if not all(cells):
+        raise EmptyCell("cannot average an empty cell")
     pairs = [
         (cell[k].bundle, cell[l].bundle)
-        for cell in filled
+        for cell in cells
         for k, l in itertools.combinations(range(len(cell)), 2)
     ]
     scored = iter(list(_ordered_map(lambda pair: compute_triplet(*pair), pairs)))
     identity = Triplet(0.0, 1.0, 1.0)
     tables = []
-    for cell in filled:
+    for cell in cells:
         table = [[identity] * len(cell) for _ in cell]
         for k, l in itertools.combinations(range(len(cell)), 2):
             table[k][l] = table[l][k] = next(scored)
         tables.append(table)
-    if len(filled) < len(cells):
-        raise EmptyCell("cannot average an empty cell")
     return tables
 
 
@@ -264,7 +253,7 @@ def select_ideals(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     keys = sorted(index.cells)
-    utterances = [index.cell(*key) for key in keys]
+    utterances = [index.cells[key] for key in keys]
     cells = []
     for (prompt, group), cell, pairs in zip(keys, utterances, _pair_tables(utterances)):
         avg, scalars = _cell_statistics(pairs, norm)
@@ -286,20 +275,13 @@ def select_ideals(
     )
 
 
-def ingest_clip(
-    path: str | Path, cfg: FrameConfig, expected_rate: int | None = None
-) -> FeatureBundle:
+def ingest_clip(path: str | Path, cfg: FrameConfig) -> FeatureBundle:
     """Read one WAV, trim edge silence, and extract features.
 
-    The bundle carries the clip's sample rate. A rate different from
-    expected_rate raises RateMismatch; corpora must be single-rate. Every
-    package error raised here names the clip's path.
+    The bundle carries the clip's sample rate. Every package error
+    raised here names the clip's path.
     """
     clip = read_wav(path)
-    if expected_rate is not None and clip.sample_rate != expected_rate:
-        raise RateMismatch(
-            f"{path}: sample rate {clip.sample_rate} differs from corpus rate {expected_rate}"
-        )
     try:
         return extract_features(strip_silence(clip), cfg)
     except SpeechStyleError as exc:
@@ -311,21 +293,23 @@ def ingest_manifest(
 ) -> dict[Path, FeatureBundle]:
     """Ingest every entry's clip, keyed by path, on a thread pool.
 
-    The first clip's rate is the corpus rate; any other raises
-    RateMismatch. Clips after the first are ingested in parallel but
-    taken in manifest order, so the error raised is the first in
-    manifest order, as if the clips were read one by one.
+    The first clip's rate is the corpus rate; a clip at any other rate
+    raises RateMismatch. Clips are ingested in parallel but taken in
+    manifest order, so the error raised is the first in manifest order,
+    as if the clips were read one by one.
     """
-    if not entries:
-        return {}
-    first = ingest_clip(entries[0].path, cfg)
-    bundles = {entries[0].path: first}
-    rest = entries[1:]
-    ingested = _ordered_map(
-        lambda entry: ingest_clip(entry.path, cfg, first.sample_rate), rest
-    )
-    # strict: rest runs out first, so the pool is shut down right here.
-    for entry, bundle in zip(rest, ingested, strict=True):
+    bundles: dict[Path, FeatureBundle] = {}
+    rate = None
+    ingested = _ordered_map(lambda entry: ingest_clip(entry.path, cfg), entries)
+    # strict: entries run out first, so the pool is shut down right here.
+    for entry, bundle in zip(entries, ingested, strict=True):
+        if rate is None:
+            rate = bundle.sample_rate
+        elif bundle.sample_rate != rate:
+            ingested.close()  # cancels the clips not yet started
+            raise RateMismatch(
+                f"{entry.path}: sample rate {bundle.sample_rate} differs from corpus rate {rate}"
+            )
         # Copied on this thread, so that the long-lived tracks do not pin
         # memory in a worker thread's heap.
         bundles[entry.path] = dataclasses.replace(
@@ -348,7 +332,7 @@ def build_corpus_index(
     Prompt and group counts are inferred from the largest indices seen;
     any hole in the (prompt, group) grid raises MissingCell. Every label
     is checked before any clip is read; bundles, when given, must hold
-    every entry's path.
+    every entry's path, extracted under cfg or else ConfigMismatch.
     """
     if not entries:
         raise MissingCell("manifest has no usable entries")
@@ -364,8 +348,11 @@ def build_corpus_index(
     n_groups = 1 + max(g for _, g in labeled)
     cells: dict[tuple[int, int], list[CellUtterance]] = {}
     for entry, group in labeled:
+        bundle = bundles[entry.path]
+        if bundle.config != cfg:
+            raise ConfigMismatch(f"{entry.path}: features come from another frame config")
         cells.setdefault((entry.prompt, group), []).append(
-            CellUtterance(speaker=entry.speaker, bundle=bundles[entry.path])
+            CellUtterance(speaker=entry.speaker, bundle=bundle)
         )
     missing = [
         (w, g)
@@ -379,7 +366,6 @@ def build_corpus_index(
             + ", ".join(str(c) for c in missing)
         )
     return CorpusIndex(
-        prompts=n_prompts,
         groups=default_group_labels(n_groups),
         cells={key: tuple(val) for key, val in sorted(cells.items())},
         config=cfg,
@@ -492,6 +478,9 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
         cfg = FrameConfig.from_dict(doc["frame_config"])
         cells = []
         for cell in doc["cells"]:
+            prompt, group = int(cell["prompt"]), int(cell["group"])
+            if any((c.prompt, c.group) == (prompt, group) for c in cells):
+                raise ParseError(f"cell (prompt {prompt}, group {group}) is listed twice")
             mean = Triplet(*[float(x) for x in cell["mean"]])
             ideals = tuple(
                 CellUtterance(
@@ -504,8 +493,8 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
             )
             cells.append(
                 ReferenceCell(
-                    prompt=int(cell["prompt"]),
-                    group=int(cell["group"]),
+                    prompt=prompt,
+                    group=group,
                     mean=mean,
                     variation=float(cell["variation"]),
                     ideals=ideals,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from _helpers import make_bundle
 from speechstyle import (
+    CorpusIndex,
+    FrameConfig,
     NormKind,
     Triplet,
     classify_manifest,
@@ -15,10 +17,12 @@ from speechstyle import (
     classify_utterance,
     scalarize,
     score_against_group,
+    select_ideals,
 )
 from speechstyle.corpus import ManifestEntry
 from speechstyle.classify import ClassificationResult, GroupScore, triplet_components
 from speechstyle.errors import EmptyCell, EmptyResults
+from speechstyle.reference import CellUtterance
 
 
 def test_scalarize_worked_example():
@@ -164,6 +168,15 @@ def test_single_group_is_vacuously_dominant():
     assert result.chosen == 0
     assert result.dominant is True
     assert result.margin == 0.0
+
+
+def test_one_group_model_is_dominant_with_zero_margin():
+    rng = np.random.default_rng(47)
+    cell = tuple(CellUtterance(f"s{k}", make_bundle(rng, 10, ceps=5)) for k in range(3))
+    index = CorpusIndex(groups=("group0",), cells={(0, 0): cell}, config=FrameConfig())
+    refs = select_ideals(index, threshold=0.15)
+    result = classify_utterance(make_bundle(rng, 10, ceps=5), 0, refs)
+    assert (result.chosen, result.dominant, result.margin) == (0, True, 0.0)
 
 
 def test_unknown_prompt_rejected():

@@ -15,6 +15,7 @@ from speechstyle import (
     write_manifest,
 )
 from speechstyle.audio import read_wav, strip_silence
+from speechstyle.corpus import _group_scales
 from speechstyle.errors import ParseError, RankOutOfRange
 from speechstyle.features import extract_features
 from speechstyle.reference import ingest_clip
@@ -107,8 +108,6 @@ def test_entry_group_prefers_truth_then_expert1():
         dict(duration_ms=0.0),
         dict(label_noise=1.5),
         dict(label_noise=-0.1),
-        dict(articulation_noise=(1.0, 0.5)),
-        dict(stress_jitter=(0.5, -0.1, 0.2, 0.1, 0.05)),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs):
@@ -117,12 +116,11 @@ def test_synth_config_rejects_bad_values(kwargs):
 
 
 def test_synth_config_default_schedules_decrease():
-    cfg = SynthConfig(groups=4)
-    for schedule in (cfg.articulation_noise, cfg.pitch_shape_jitter, cfg.stress_jitter):
-        assert len(schedule) == 4
-        assert schedule[0] == 1.0
-        assert all(a > b for a, b in zip(schedule, schedule[1:]))
-        assert schedule[-1] == pytest.approx(0.12)
+    schedule = _group_scales(4)
+    assert len(schedule) == 4
+    assert schedule[0] == 1.0
+    assert all(a > b for a, b in zip(schedule, schedule[1:]))
+    assert schedule[-1] == pytest.approx(0.12)
 
 
 def test_generate_corpus_layout(tiny_corpus):

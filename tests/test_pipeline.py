@@ -1,10 +1,14 @@
 """Work counts and ordering of the shared ingest / reference / classify path."""
 
 import dataclasses
+import importlib
+import importlib.util
+import inspect
 import re
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +58,7 @@ def test_select_ideals_scores_each_pair_once(threshold, triplet_calls):
     rng = np.random.default_rng(90)
     n = 5
     cell = tuple(CellUtterance(speaker=f"s{k}", bundle=make_bundle(rng, 10, 4)) for k in range(n))
-    index = CorpusIndex(prompts=1, groups=("group0",), cells={(0, 0): cell}, config=FrameConfig())
+    index = CorpusIndex(groups=("group0",), cells={(0, 0): cell}, config=FrameConfig())
     select_ideals(index, threshold)
     assert len(triplet_calls) == n * (n - 1) // 2
 
@@ -167,3 +171,20 @@ def test_ingest_raises_for_the_first_bad_clip_in_manifest_order(
     error = RateMismatch if first == "wrong_rate" else ClipTooShort
     with pytest.raises(error, match=f"^{re.escape(str(wavs[first]))}: "):
         ingest_manifest(entries, FrameConfig())
+
+
+def test_perfbench_span_names_are_public_functions_of_their_layers():
+    """perfbench keys its work counts on `layer.fn` span names; a move or rename breaks them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.INFO:
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"speechstyle.{layer}")
+        value = getattr(module, fn, None)
+        assert not fn.startswith("_") and inspect.isfunction(value), name
+        assert value.__module__ == module.__name__, name
+    # Classification time is charged to the classify layer only while it is defined there.
+    moved = getattr(reference, "classify_manifest", None)
+    assert moved is None or moved.__module__ != reference.__name__

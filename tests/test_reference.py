@@ -1,6 +1,8 @@
 import base64
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from _helpers import make_bundle, ordered_pair_scalar_std, quadruple_loop_average
 from speechstyle import (
+    AudioClip,
     FeatureBundle,
     FrameConfig,
     NormKind,
@@ -18,13 +21,17 @@ from speechstyle import (
     classify_utterance,
     compute_cell_average,
     compute_triplet,
+    ingest_manifest,
     load_manifest,
     load_reference_set,
+    read_wav,
     save_reference_set,
     scalarize,
     select_ideals,
+    write_wav,
 )
 from speechstyle.errors import (
+    ConfigMismatch,
     EmptyCell,
     MissingCell,
     MissingLabel,
@@ -52,7 +59,6 @@ def _cell(rng, n, frames=10, ceps=4):
 
 def _single_cell_index(cell):
     return CorpusIndex(
-        prompts=1,
         groups=("group0",),
         cells={(0, 0): tuple(cell)},
         config=FrameConfig(),
@@ -232,12 +238,19 @@ def test_build_corpus_index_shapes_cells():
     rng = np.random.default_rng(77)
     entries = _fake_entries(2, 3)
     index = build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
-    assert index.prompts == 2
     assert index.groups == ("group0", "group1", "group2")
     assert set(index.cells) == {(w, g) for w in range(2) for g in range(3)}
     assert all(len(cell) == 2 for cell in index.cells.values())
-    with pytest.raises(MissingCell):
-        index.cell(5, 0)
+
+
+def test_build_corpus_index_rejects_bundles_of_another_frame_config():
+    rng = np.random.default_rng(80)
+    entries = _fake_entries(1, 2)
+    bundles = _fake_bundles(entries, rng)
+    other = entries[-1].path
+    bundles[other] = dataclasses.replace(bundles[other], config=FrameConfig(hop_ms=5.0))
+    with pytest.raises(ConfigMismatch, match=f"^{re.escape(str(other))}: "):
+        build_corpus_index(entries, FrameConfig(), bundles=bundles)
 
 
 def test_build_corpus_index_reports_missing_cells():
@@ -269,8 +282,8 @@ def test_truth_label_outranks_expert_label():
         truth=0,
     )
     index = build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
-    assert any(u.speaker == moved.speaker for u in index.cell(0, 0))
-    assert not any(u.speaker == moved.speaker for u in index.cell(0, 1))
+    assert any(u.speaker == moved.speaker for u in index.cells[(0, 0)])
+    assert not any(u.speaker == moved.speaker for u in index.cells[(0, 1)])
 
 
 def test_default_group_labels():
@@ -278,14 +291,17 @@ def test_default_group_labels():
     assert default_group_labels(3) == ("group0", "group1", "group2")
 
 
-def test_ingest_clip_rejects_rate_mismatch(tiny_corpus):
+def test_ingest_manifest_rejects_rate_mismatch(tiny_corpus, tmp_path):
     _, manifest = tiny_corpus
-    entry = load_manifest(manifest)[0]
+    entry, second = load_manifest(manifest)[:2]
     bundle = ingest_clip(entry.path, FrameConfig())
     assert bundle.sample_rate == 16000
     assert bundle.frame_count > 0
-    with pytest.raises(RateMismatch):
-        ingest_clip(entry.path, FrameConfig(), expected_rate=8000)
+    wrong = tmp_path / "wrong_rate.wav"
+    write_wav(wrong, AudioClip(read_wav(second.path).samples, 8000))
+    entries = [entry, dataclasses.replace(second, path=wrong)]
+    with pytest.raises(RateMismatch, match=f"^{re.escape(str(wrong))}: sample rate 8000 "):
+        ingest_manifest(entries, FrameConfig())
 
 
 def test_build_reference_set_from_corpus(tiny_corpus):
@@ -294,7 +310,6 @@ def test_build_reference_set_from_corpus(tiny_corpus):
     refs = build_reference_set(entries, FrameConfig(), threshold=0.15)
     assert refs.groups == ("group0", "group1")
     assert refs.n_groups == 2
-    assert refs.n_prompts == cfg.prompts
     assert refs.has_prompt(0) and refs.has_prompt(1)
     assert not refs.has_prompt(cfg.prompts)
     with pytest.raises(MissingCell, match=f"model has no cell for prompt {cfg.prompts}, group 0"):
@@ -511,6 +526,7 @@ def _break_stress(change):
         (_break_stress(lambda t: t.update(shape=[1.5])), "shape .* is not 1 nonnegative"),
         (_break_stress(lambda t: t.update(shape="12")), "shape .* is not 1 nonnegative"),
         (_break_stress(lambda t: t.pop("float64le")), "malformed model file"),
+        (lambda doc: doc["cells"].append(doc["cells"][0]), r"cell \(prompt 0, group 0\) is listed twice"),
     ],
 )
 def test_model_load_errors_name_the_model_path(tiny_corpus, tmp_path, mutate, match):
