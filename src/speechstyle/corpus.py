@@ -175,8 +175,8 @@ class SynthConfig:
             raise ValueError("groups, speakers_per_group, and prompts must be >= 1")
         if self.sample_rate not in SUPPORTED_RATES:
             raise ValueError(f"sample_rate must be one of {SUPPORTED_RATES}")
-        if self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
+        if not 0 < self.duration_ms < np.inf:
+            raise ValueError(f"duration_ms must be positive and finite, got {self.duration_ms!r}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must lie in [0, 1]")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +40,13 @@ class FrameConfig:
     voicing_threshold: float = 0.3
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            allowed = int if field.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.window_ms <= 0 or self.hop_ms <= 0:
             raise ValueError("window_ms and hop_ms must be positive")
         if self.hop_ms > self.window_ms:
@@ -60,6 +67,12 @@ class FrameConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FrameConfig":
+        if not isinstance(data, dict):
+            raise ValueError("frame config must be a JSON object")
+        names = {field.name for field in fields(cls)}
+        unknown = [name for name in data if name not in names]
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
         return cls(**data)
 
 

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -250,8 +250,8 @@ def select_ideals(
     lies within the threshold of some chosen ideal, so in the worst
     case every utterance of the cell becomes an ideal.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     keys = sorted(index.cells)
     utterances = [index.cells[key] for key in keys]
     cells = []
@@ -321,6 +321,13 @@ def ingest_manifest(
     return bundles
 
 
+def _grid_holes(cells: Container[tuple[int, int]], n_prompts: int, n_groups: int) -> str:
+    """The (prompt, group) pairs of the grid missing from cells, listed; empty if none."""
+    return ", ".join(
+        str((w, g)) for w in range(n_prompts) for g in range(n_groups) if (w, g) not in cells
+    )
+
+
 def build_corpus_index(
     entries: Sequence[ManifestEntry],
     cfg: FrameConfig,
@@ -354,17 +361,9 @@ def build_corpus_index(
         cells.setdefault((entry.prompt, group), []).append(
             CellUtterance(speaker=entry.speaker, bundle=bundle)
         )
-    missing = [
-        (w, g)
-        for w in range(n_prompts)
-        for g in range(n_groups)
-        if (w, g) not in cells
-    ]
+    missing = _grid_holes(cells, n_prompts, n_groups)
     if missing:
-        raise MissingCell(
-            "manifest is missing cells (prompt, group): "
-            + ", ".join(str(c) for c in missing)
-        )
+        raise MissingCell(f"manifest is missing cells (prompt, group): {missing}")
     return CorpusIndex(
         groups=default_group_labels(n_groups),
         cells={key: tuple(val) for key, val in sorted(cells.items())},
@@ -381,10 +380,10 @@ def build_reference_set(
 ) -> ReferenceSet:
     """End-to-end reference build from manifest entries.
 
-    A negative threshold is rejected before any clip is read.
+    A negative or non-finite threshold is rejected before any clip is read.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
     return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
 
 
@@ -476,11 +475,19 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
         if rate is not None:
             rate = int(rate)
         cfg = FrameConfig.from_dict(doc["frame_config"])
+        groups = tuple(doc["groups"])
+        if not groups:
+            raise ParseError("model has no groups")
         cells = []
         for cell in doc["cells"]:
-            prompt, group = int(cell["prompt"]), int(cell["group"])
+            prompt, group = cell["prompt"], cell["group"]
+            if type(prompt) is not int or type(group) is not int:
+                raise ParseError(f"cell prompt and group must be ints, got {prompt!r}, {group!r}")
+            where = f"cell (prompt {prompt}, group {group})"
+            if prompt < 0 or group not in range(len(groups)):
+                raise ParseError(f"{where} lies outside the model's {len(groups)} groups")
             if any((c.prompt, c.group) == (prompt, group) for c in cells):
-                raise ParseError(f"cell (prompt {prompt}, group {group}) is listed twice")
+                raise ParseError(f"{where} is listed twice")
             mean = Triplet(*[float(x) for x in cell["mean"]])
             ideals = tuple(
                 CellUtterance(
@@ -491,6 +498,8 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
                 )
                 for item in cell["ideals"]
             )
+            if not ideals:
+                raise ParseError(f"{where} has no ideals")
             cells.append(
                 ReferenceCell(
                     prompt=prompt,
@@ -500,10 +509,15 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
                     ideals=ideals,
                 )
             )
+        # Prompt 0 is always covered, so a model without cells misses (0, g).
+        n_prompts = 1 + max((c.prompt for c in cells), default=0)
+        missing = _grid_holes({(c.prompt, c.group) for c in cells}, n_prompts, len(groups))
+        if missing:
+            raise ParseError(f"model is missing cells (prompt, group): {missing}")
         return ReferenceSet(
             config=cfg,
             threshold=float(doc["threshold"]),
-            groups=tuple(doc["groups"]),
+            groups=groups,
             cells=tuple(cells),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -11,8 +12,8 @@ import pytest
 
 import speechstyle
 from _helpers import write_float_wav
-from speechstyle import load_manifest, load_reference_set, write_manifest
-from speechstyle.cli import main
+from speechstyle import SynthConfig, load_manifest, load_reference_set, write_manifest
+from speechstyle.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -97,10 +98,54 @@ def test_unknown_flag_is_usage_error(capsys, tmp_path, command, flag, value):
     assert not out.exists()
 
 
-def test_invalid_group_count_is_usage_error(capsys):
-    code, _, err = _run(capsys, "synth", "--out", "x", "--groups", "0")
+_BAD_SYNTH_VALUES = [
+    ("--groups", "0", "groups"),
+    ("--speakers-per-group", "0", "speakers_per_group"),
+    ("--prompts", "0", "prompts"),
+    ("--sample-rate", "11025", "sample_rate"),
+    ("--duration-ms", "0", "duration_ms"),
+    ("--duration-ms", "inf", "duration_ms"),
+    ("--duration-ms", "nan", "duration_ms"),
+    ("--label-noise", "2", "label_noise"),
+    ("--label-noise", "-0.1", "label_noise"),
+    ("--label-noise", "nan", "label_noise"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, field", _BAD_SYNTH_VALUES, ids=[f"{f}={v}" for f, v, _ in _BAD_SYNTH_VALUES]
+)
+def test_invalid_group_count_is_usage_error(capsys, tmp_path, flag, value, field):
+    """A bad synth value is rejected by SynthConfig, which names the field."""
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, "synth", "--out", str(out), flag, value)
     assert code == 1
     assert "usage" in err.lower()
+    assert "usage: speechstyle synth " in err
+    first = err.splitlines()[0]
+    assert first.startswith("error: ") and field in first, err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_synth_flags_are_exactly_the_synth_config_fields():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    synth = sub.choices["synth"]
+    dests = {a.dest for a in synth._actions if not isinstance(a, argparse._HelpAction)}
+    assert dests - {"out"} == {f.name for f in dataclasses.fields(SynthConfig)}
+
+
+@pytest.mark.parametrize("command, value", [("build-refs", "nan"), ("evaluate", "inf")])
+def test_non_finite_threshold_is_usage_error(cli_corpus, capsys, tmp_path, command, value):
+    out = tmp_path / "out.json"
+    argv = [command, "--manifest", str(cli_corpus), "--out", str(out), "--threshold", value]
+    code, stdout, err = _run(capsys, *argv)
+    assert code == 1
+    assert f"argument --threshold: must be finite and >= 0, got {value}" in err
+    assert f"usage: speechstyle {command} " in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_synth_reports_manifest_and_count(capsys, tmp_path):

@@ -108,6 +108,9 @@ def test_entry_group_prefers_truth_then_expert1():
         dict(duration_ms=0.0),
         dict(label_noise=1.5),
         dict(label_noise=-0.1),
+        dict(duration_ms=float("inf")),
+        dict(duration_ms=float("nan")),
+        dict(label_noise=float("nan")),
     ],
 )
 def test_synth_config_rejects_bad_values(kwargs):

@@ -270,6 +270,16 @@ def test_frame_config_validation():
         FrameConfig(pitch_fmin=500.0, pitch_fmax=100.0)
     with pytest.raises(ValueError):
         FrameConfig(voicing_threshold=0.0)
+    with pytest.raises(ValueError, match=r"n_ceps must be int, got 13\.0"):
+        FrameConfig(n_ceps=13.0)
+    with pytest.raises(ValueError, match="window_ms must be float, got True"):
+        FrameConfig(window_ms=True)
+    with pytest.raises(ValueError, match="hop_ms must be finite, got nan"):
+        FrameConfig(hop_ms=float("nan"))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        FrameConfig.from_dict([("n_ceps", 10)])
+    with pytest.raises(ValueError, match="unknown field 'zz'"):
+        FrameConfig.from_dict({"zz": 1, "aa": 2, "n_ceps": 10})
 
 
 def test_frame_config_dict_round_trip():

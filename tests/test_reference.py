@@ -201,13 +201,15 @@ def test_greedy_selection_covers_everyone():
             assert best <= threshold + 1e-9
 
 
-def test_negative_threshold_rejected():
+@pytest.mark.parametrize("threshold", [-0.1, math.nan, math.inf])
+def test_negative_threshold_rejected(threshold):
     rng = np.random.default_rng(76)
     cell = _cell(rng, 2)
-    with pytest.raises(ValueError):
-        select_ideals(_single_cell_index(cell), -0.1)
-    with pytest.raises(ValueError):
-        build_reference_set([], FrameConfig(), threshold=-1.0)
+    message = "threshold must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        select_ideals(_single_cell_index(cell), threshold)
+    with pytest.raises(ValueError, match=message):
+        build_reference_set([], FrameConfig(), threshold=threshold)
 
 
 def _fake_entries(prompts, groups, skip=()):
@@ -527,6 +529,16 @@ def _break_stress(change):
         (_break_stress(lambda t: t.update(shape="12")), "shape .* is not 1 nonnegative"),
         (_break_stress(lambda t: t.pop("float64le")), "malformed model file"),
         (lambda doc: doc["cells"].append(doc["cells"][0]), r"cell \(prompt 0, group 0\) is listed twice"),
+        (lambda doc: doc["cells"].pop(2), r"model is missing cells \(prompt, group\): \(1, 0\)$"),
+        (lambda doc: doc["cells"][1].update(group=7), r"cell \(prompt 0, group 7\) lies outside the model's 2 groups"),
+        (lambda doc: doc["cells"][0].update(ideals=[]), r"cell \(prompt 0, group 0\) has no ideals"),
+        (lambda doc: doc.update(cells=[]), r"missing cells \(prompt, group\): \(0, 0\), \(0, 1\)$"),
+        (lambda doc: doc.update(groups=[], cells=[]), "model has no groups"),
+        (lambda doc: doc["cells"][3].update(prompt=3.9), r"prompt and group must be ints, got 3\.9, 1"),
+        (lambda doc: doc["cells"][1].update(group=True), r"prompt and group must be ints, got 0, True"),
+        (lambda doc: doc["frame_config"].update(n_ceps=13.0), r"n_ceps must be int, got 13\.0"),
+        (lambda doc: doc["frame_config"].update(window_ms=math.nan), "window_ms must be finite, got nan"),
+        (lambda doc: doc["frame_config"].update(no_such_knob=1), "unknown field 'no_such_knob'"),
     ],
 )
 def test_model_load_errors_name_the_model_path(tiny_corpus, tmp_path, mutate, match):
