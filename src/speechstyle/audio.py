@@ -40,9 +40,6 @@ class AudioClip:
             raise ValueError("AudioClip samples must be one-dimensional")
         object.__setattr__(self, "samples", samples)
 
-    def scaled(self, gain: float) -> "AudioClip":
-        return AudioClip(self.samples * gain, self.sample_rate)
-
 
 def _mono_samples(raw: bytes, start: int, size: int, fmt: tuple, path) -> np.ndarray:
     """The data chunk at raw[start:start + size] as float64, channels averaged."""

@@ -52,10 +52,10 @@ def _nonneg_float(text: str) -> float:
 
 
 def _frame_config(text: str | None) -> FrameConfig:
-    """Read --frame-config: a path to a JSON file or an inline JSON object."""
+    """Read --frame-config: inline JSON if it opens with {, [ or ", else a JSON file path."""
     if not text:
         return FrameConfig()
-    inline = text.lstrip().startswith("{")
+    inline = text.lstrip()[:1] in ("{", "[", '"')
     source = "--frame-config" if inline else f"--frame-config {text}"
     try:
         return FrameConfig.from_dict(json.loads(text if inline else Path(text).read_text()))
@@ -163,8 +163,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     refs = load_reference_set(args.model)
     entries = load_manifest(args.manifest)
     bundles = ingest_manifest(entries, refs.config)
-    rate = next((bundle.sample_rate for bundle in bundles.values()), None)
-    if None not in (rate, refs.sample_rate) and rate != refs.sample_rate:
+    rate = next((bundle.sample_rate for bundle in bundles.values()), refs.sample_rate)
+    if rate != refs.sample_rate:
         raise RateMismatch(
             f"{args.manifest}: clips are sampled at {rate} Hz, but model {args.model} "
             f"was built from {refs.sample_rate} Hz clips"

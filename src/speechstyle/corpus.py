@@ -50,29 +50,23 @@ def _parse_rank(field: str, line: int, name: str) -> int | None:
     return value
 
 
-def load_manifest(
-    path: str | Path,
-    n_prompts: int | None = None,
-    n_groups: int | None = None,
-) -> list[ManifestEntry]:
+def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a corpus manifest CSV.
 
     The header must be exactly path,speaker,prompt,expert1,expert2,truth.
     Rank fields may be empty. Relative audio paths are resolved against
-    the manifest's directory. When n_prompts or n_groups are given,
-    out-of-range values raise RankOutOfRange with the offending line.
-    Every ParseError and RankOutOfRange names the manifest path.
+    the manifest's directory. A negative prompt or rank raises
+    RankOutOfRange with the offending line. Every ParseError and
+    RankOutOfRange names the manifest path.
     """
     path = Path(path)
     try:
-        return _read_manifest(path, n_prompts, n_groups)
+        return _read_manifest(path)
     except (ParseError, RankOutOfRange) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _read_manifest(
-    path: Path, n_prompts: int | None, n_groups: int | None
-) -> list[ManifestEntry]:
+def _read_manifest(path: Path) -> list[ManifestEntry]:
     base = path.parent
     entries: list[ManifestEntry] = []
     with open(path, newline="") as handle:
@@ -101,21 +95,11 @@ def _read_manifest(
                 raise ParseError(f"line {line}: prompt must be an integer") from None
             if prompt < 0:
                 raise RankOutOfRange(f"line {line}: prompt {prompt} is negative")
-            if n_prompts is not None and prompt >= n_prompts:
-                raise RankOutOfRange(
-                    f"line {line}: prompt {prompt} outside 0..{n_prompts - 1}"
-                )
             ranks = [
                 _parse_rank(e1, line, "expert1"),
                 _parse_rank(e2, line, "expert2"),
                 _parse_rank(truth, line, "truth"),
             ]
-            if n_groups is not None:
-                for name, value in zip(("expert1", "expert2", "truth"), ranks):
-                    if value is not None and value >= n_groups:
-                        raise RankOutOfRange(
-                            f"line {line}: {name} {value} outside 0..{n_groups - 1}"
-                        )
             wav_path = Path(wav)
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
@@ -365,7 +349,7 @@ def generate_synthetic_corpus(cfg: SynthConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     templates = [_prompt_template(cfg, w) for w in range(cfg.prompts)]
-    rows: list[tuple[str, str, int, int, int, int]] = []
+    entries: list[ManifestEntry] = []
     for group in range(cfg.groups):
         for speaker_idx in range(cfg.speakers_per_group):
             speaker = f"g{group}s{speaker_idx:02d}"
@@ -374,10 +358,5 @@ def generate_synthetic_corpus(cfg: SynthConfig, out_dir: str | Path) -> Path:
                 samples = _render_utterance(cfg, templates[prompt], prompt, group, speaker_idx)
                 name = f"{speaker}_p{prompt:02d}.wav"
                 write_wav(out / name, AudioClip(samples, cfg.sample_rate))
-                rows.append((name, speaker, prompt, expert1, expert2, group))
-    manifest = out / "manifest.csv"
-    with open(manifest, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(rows)
-    return manifest
+                entries.append(ManifestEntry(Path(name), speaker, prompt, expert1, expert2, group))
+    return write_manifest(entries, out / "manifest.csv")

@@ -15,7 +15,7 @@ from .classify import (
     classify_speaker,
 )
 from .corpus import ManifestEntry, entry_group, load_manifest
-from .errors import CellTooSmall, MissingLabel, SubjectMismatch
+from .errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
 from .features import FrameConfig
 from .reference import ReferenceSet, build_reference_set, ingest_manifest
 
@@ -58,7 +58,8 @@ def agreement(a: LabelVector, b: LabelVector, n_groups: int | None = None) -> Ag
 
     total_pct counts exact rank matches; one_step_pct additionally
     accepts ranks one step apart. Raises SubjectMismatch when the two
-    vectors do not cover the same subject ids.
+    vectors do not cover the same subject ids, and RankOutOfRange when
+    a rank lies outside 0..n_groups - 1.
     """
     map_a = a.as_dict()
     map_b = b.as_dict()
@@ -74,6 +75,10 @@ def agreement(a: LabelVector, b: LabelVector, n_groups: int | None = None) -> Ag
     ranks = [(map_a[s], map_b[s]) for s in subjects]
     if n_groups is None:
         n_groups = 1 + max(max(ra, rb) for ra, rb in ranks)
+    for subject in subjects:
+        for rank in (map_a[subject], map_b[subject]):
+            if not 0 <= rank < n_groups:
+                raise RankOutOfRange(f"subject {subject}: rank {rank} is outside 0..{n_groups - 1}")
     confusion = np.zeros((n_groups, n_groups), dtype=int)
     exact = close = 0
     for ra, rb in ranks:

@@ -83,14 +83,14 @@ class FeatureBundle:
     spectral : (frames, n_ceps) mel cepstra
     pitch    : (frames,) f0 in Hz, NaN where unvoiced
     stress   : (frames,) log energy in dB
-    sample_rate : rate of the clip the frames were cut from, None if unknown
+    sample_rate : rate of the clip the frames were cut from
     """
 
     spectral: np.ndarray
     pitch: np.ndarray
     stress: np.ndarray
     config: FrameConfig
-    sample_rate: int | None = None
+    sample_rate: int
 
     def __post_init__(self) -> None:
         frames = self.spectral.shape[0]

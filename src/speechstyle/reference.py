@@ -15,7 +15,7 @@ from typing import Callable, Container, Iterator, Sequence
 
 import numpy as np
 
-from .audio import read_wav, strip_silence
+from .audio import SUPPORTED_RATES, read_wav, strip_silence
 from .classify import NormKind, scalarize
 from .corpus import ManifestEntry, entry_group
 from .errors import (
@@ -30,9 +30,8 @@ from .errors import (
 from .features import FeatureBundle, FrameConfig, extract_features
 from .metric import Triplet, compute_triplet
 
-# Version 2 added sample_rate; version 1 models load with the rate unknown.
-# Version 3 stores each feature track as base64 of its little-endian
-# float64 bytes; versions 1 and 2 stored JSON number lists.
+# The only version read or written. Each feature track is stored as
+# base64 of its little-endian float64 bytes.
 MODEL_VERSION = 3
 # The key beside "shape" that holds a track's base64 bytes.
 _ARRAY_DATA = "float64le"
@@ -85,9 +84,9 @@ class ReferenceSet:
         return len(self.groups)
 
     @property
-    def sample_rate(self) -> int | None:
-        """Rate of the clips the ideals were extracted from; None if unknown."""
-        return next((u.bundle.sample_rate for c in self.cells for u in c.ideals), None)
+    def sample_rate(self) -> int:
+        """Rate of the ideals' clips; load and select_ideals give every cell an ideal."""
+        return self.cells[0].ideals[0].bundle.sample_rate
 
     @cached_property
     def _grid(self) -> dict[int, dict[int, ReferenceCell]]:
@@ -387,10 +386,6 @@ def build_reference_set(
     return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
 
 
-def _pitch_from_json(values: list) -> np.ndarray:
-    return np.array([math.nan if v is None else float(v) for v in values], dtype=np.float64)
-
-
 def _array_to_json(values: np.ndarray) -> dict:
     data = np.ascontiguousarray(values, dtype="<f8").tobytes()
     return {
@@ -400,7 +395,7 @@ def _array_to_json(values: np.ndarray) -> dict:
 
 
 def _array_from_json(item: dict, name: str, ndim: int) -> np.ndarray:
-    """Decode one version 3 track into an owned C-contiguous float64 array."""
+    """Decode one track into an owned C-contiguous float64 array."""
     value = item[name]
     where = f"{name} of ideal {item['speaker']!r}"
     shape = value["shape"]
@@ -419,21 +414,6 @@ def _array_from_json(item: dict, name: str, ndim: int) -> np.ndarray:
             f"{where}: {len(data)} bytes of data, but shape {shape} needs {8 * math.prod(shape)}"
         )
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def _tracks_from_json(item: dict, version: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An ideal's (spectral, pitch, stress) in the encoding of its version."""
-    if version >= 3:
-        return (
-            _array_from_json(item, "spectral", 2),
-            _array_from_json(item, "pitch", 1),
-            _array_from_json(item, "stress", 1),
-        )
-    return (
-        np.array(item["spectral"], dtype=np.float64),
-        _pitch_from_json(item["pitch"]),
-        np.array(item["stress"], dtype=np.float64),
-    )
 
 
 def reference_set_to_dict(refs: ReferenceSet) -> dict:
@@ -466,15 +446,18 @@ def reference_set_to_dict(refs: ReferenceSet) -> dict:
 
 
 def reference_set_from_dict(doc: dict) -> ReferenceSet:
-    """Decode a model document of any version from 1 to MODEL_VERSION."""
+    """Decode a model document of version MODEL_VERSION."""
     try:
         version = doc["version"]
-        if version not in (1, 2, MODEL_VERSION):
+        if version != MODEL_VERSION:
             raise ParseError(f"unsupported model version {version}")
-        rate = doc["sample_rate"] if version >= 2 else None
-        if rate is not None:
-            rate = int(rate)
+        rate = doc["sample_rate"]
+        if type(rate) is not int or rate not in SUPPORTED_RATES:
+            raise ParseError(f"sample_rate must be an int in {SUPPORTED_RATES}, got {rate!r}")
         cfg = FrameConfig.from_dict(doc["frame_config"])
+        threshold = doc["threshold"]
+        if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
+            raise ParseError(f"threshold must be finite and nonnegative, got {threshold!r}")
         groups = tuple(doc["groups"])
         if not groups:
             raise ParseError("model has no groups")
@@ -493,7 +476,11 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
                 CellUtterance(
                     speaker=item["speaker"],
                     bundle=FeatureBundle(
-                        *_tracks_from_json(item, version), config=cfg, sample_rate=rate
+                        _array_from_json(item, "spectral", 2),
+                        _array_from_json(item, "pitch", 1),
+                        _array_from_json(item, "stress", 1),
+                        config=cfg,
+                        sample_rate=rate,
                     ),
                 )
                 for item in cell["ideals"]
@@ -516,7 +503,7 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
             raise ParseError(f"model is missing cells (prompt, group): {missing}")
         return ReferenceSet(
             config=cfg,
-            threshold=float(doc["threshold"]),
+            threshold=float(threshold),
             groups=groups,
             cells=tuple(cells),
         )

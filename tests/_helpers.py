@@ -20,7 +20,9 @@ def make_bundle(rng, frames, ceps=3, voiced_prob=1.0, cfg=DEFAULT_CFG):
     )
     pitch = np.where(rng.random(frames) < voiced_prob, f0, np.nan)
     stress = np.cumsum(rng.normal(scale=1.5, size=frames)) - 25.0
-    return FeatureBundle(spectral=spectral, pitch=pitch, stress=stress, config=cfg)
+    return FeatureBundle(
+        spectral=spectral, pitch=pitch, stress=stress, config=cfg, sample_rate=16000
+    )
 
 
 def euclid(u, v):

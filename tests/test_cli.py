@@ -292,7 +292,9 @@ def test_classify_rejects_nan_clip_before_writing(cli_corpus, cli_model, capsys,
     assert not results.exists()
 
 
-def test_classify_rejects_manifest_at_another_rate_than_the_model(cli_corpus, capsys, tmp_path):
+def test_classify_rejects_manifest_at_another_rate_than_the_model(
+    cli_corpus, cli_model, capsys, tmp_path
+):
     corpus = tmp_path / "corpus44k"
     assert main(["synth", "--out", str(corpus), "--groups", "2", "--speakers-per-group", "2",
                  "--prompts", "1", "--duration-ms", "400", "--sample-rate", "44100"]) == 0
@@ -312,6 +314,18 @@ def test_classify_rejects_manifest_at_another_rate_than_the_model(cli_corpus, ca
     )
     assert code == 2
     assert "16000" in err and "44100" in err and str(model) in err
+    assert not results.exists()
+
+    # A version 1 model stored no rate, so it is refused before any clip is read.
+    doc = json.loads(cli_model.read_text())
+    doc["version"] = 1
+    del doc["sample_rate"]
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    argv = ["classify", "--model", str(old), "--manifest", str(corpus / "manifest.csv")]
+    code, _, err = _run(capsys, *argv, "--out", str(results))
+    assert code == 2
+    assert f"error: {old}: unsupported model version 1" in err
     assert not results.exists()
 
 
@@ -379,6 +393,9 @@ def test_frame_config_file_and_bad_json(cli_corpus, capsys, tmp_path):
         ('{"no_such_knob": 1}', ["unknown field 'no_such_knob'"]),
         ('{"hop_ms": 50}', ["--frame-config: hop_ms must not exceed window_ms"]),
         ('{"n_ceps": "x"}', ["--frame-config: n_ceps must be int, got 'x'"]),
+        (" [1]", ["--frame-config: frame config must be a JSON object"]),
+        ('"frames.json"', ["--frame-config: frame config must be a JSON object"]),
+        (str(tmp_path / "missing.json"), [str(tmp_path / "missing.json")]),
     ]
     for text, fragments in cases:
         out = tmp_path / "x.json"
@@ -527,6 +544,21 @@ def _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, bad_wav):
     assert str(bad_wav) in err
     assert not report.exists()
     return err
+
+
+def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(small_corpus, capsys, tmp_path):
+    _, manifest = small_corpus
+    entries = [
+        dataclasses.replace(e, expert2=7) if e.speaker.startswith("g0") else e
+        for e in load_manifest(manifest)
+    ]
+    bumped = write_manifest(entries, tmp_path / "bumped.csv")
+    report = tmp_path / "report.json"
+    code, out, err = _run(capsys, "evaluate", "--manifest", str(bumped), "--out", str(report))
+    assert code == 2
+    assert "rank 7 is outside 0..4" in err
+    assert "Traceback" not in err and out == ""
+    assert not report.exists()
 
 
 def test_evaluate_names_a_silent_clip(small_corpus, capsys, tmp_path):

@@ -17,7 +17,7 @@ from speechstyle import (
     write_manifest,
 )
 from speechstyle.corpus import ManifestEntry
-from speechstyle.errors import CellTooSmall, MissingLabel, SubjectMismatch
+from speechstyle.errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
 
 
 def _vector(ranks):
@@ -107,6 +107,12 @@ def test_confusion_shape_follows_n_groups():
     explicit = agreement(a, b, n_groups=6)
     assert len(explicit.confusion) == 6
     assert all(len(row) == 6 for row in explicit.confusion)
+
+
+@pytest.mark.parametrize("ranks_b, bad", [([1, 5], "rank 5"), ([1, -1], "rank -1")])
+def test_agreement_rejects_a_rank_outside_the_groups(ranks_b, bad):
+    with pytest.raises(RankOutOfRange, match=f"subject spk001: {bad} is outside 0..4"):
+        agreement(_vector([0, 3]), _vector(ranks_b), n_groups=5)
 
 
 def test_agreement_rejects_subject_mismatch():

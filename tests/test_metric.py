@@ -240,7 +240,11 @@ def test_degenerate_variance_rules():
 
     def bundle(stress):
         return FeatureBundle(
-            spectral=rng.normal(size=(10, 4)), pitch=pitch, stress=stress, config=cfg
+            spectral=rng.normal(size=(10, 4)),
+            pitch=pitch,
+            stress=stress,
+            config=cfg,
+            sample_rate=16000,
         )
 
     # both stress contours constant: perfectly similar
@@ -262,7 +266,9 @@ def test_noise_increases_expected_articulation_distance():
     from speechstyle import FeatureBundle
 
     def bundle(track):
-        return FeatureBundle(spectral=track, pitch=flat_pitch, stress=stress, config=cfg)
+        return FeatureBundle(
+            spectral=track, pitch=flat_pitch, stress=stress, config=cfg, sample_rate=16000
+        )
 
     levels = [0.05, 0.1, 0.2, 0.4]
     means = []

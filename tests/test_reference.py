@@ -148,6 +148,7 @@ def _shifted(bundle, rng, scale):
         pitch=bundle.pitch,
         stress=bundle.stress,
         config=bundle.config,
+        sample_rate=16000,
     )
 
 
@@ -380,19 +381,6 @@ def test_load_rejects_unknown_version(tiny_corpus, tmp_path):
         load_reference_set(bad)
 
 
-def test_version_1_model_loads_with_rate_unknown(tiny_corpus, tmp_path):
-    _, manifest = tiny_corpus
-    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
-    doc = reference_set_to_dict(refs)
-    assert doc["version"] == 3 and doc["sample_rate"] == 16000
-    doc = _legacy_doc(refs, version=1)
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(doc))
-    loaded = load_reference_set(old)
-    assert loaded.sample_rate is None
-    assert [c.ideals[0].speaker for c in loaded.cells] == [c.ideals[0].speaker for c in refs.cells]
-
-
 def test_load_rejects_invalid_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json at all")
@@ -409,20 +397,6 @@ def test_load_rejects_missing_fields(tiny_corpus, tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_reference_set(bad)
-
-
-def _legacy_doc(refs, version):
-    """The model document as versions 1 and 2 wrote it: number lists, null for NaN pitch."""
-    doc = reference_set_to_dict(refs)
-    doc["version"] = version
-    if version == 1:
-        del doc["sample_rate"]
-    for cell_doc, cell in zip(doc["cells"], refs.cells):
-        for item, ideal in zip(cell_doc["ideals"], cell.ideals):
-            item["spectral"] = ideal.bundle.spectral.tolist()
-            item["pitch"] = [None if math.isnan(x) else x for x in ideal.bundle.pitch.tolist()]
-            item["stress"] = ideal.bundle.stress.tolist()
-    return doc
 
 
 def _bits(x):
@@ -451,22 +425,6 @@ def test_version_3_stores_tracks_as_base64_float64(tiny_corpus):
     assert item["pitch"]["shape"] == [bundle.frame_count]
     raw = bundle.stress.astype("<f8").tobytes()
     assert base64.b64decode(item["stress"]["float64le"], validate=True) == raw
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_older_versions_decode_to_the_same_tracks_as_version_3(tiny_corpus, tmp_path, version):
-    _, manifest = tiny_corpus
-    refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.0)
-    current = tmp_path / "v3.json"
-    save_reference_set(refs, current)
-    old = tmp_path / f"v{version}.json"
-    old.write_text(json.dumps(_legacy_doc(refs, version), indent=2) + "\n")
-    from_old = load_reference_set(old)
-    from_current = load_reference_set(current)
-    _assert_same_tracks(from_old, from_current)
-    _assert_same_tracks(from_current, refs)
-    assert from_old.sample_rate == (None if version == 1 else 16000)
-    assert current.stat().st_size < old.stat().st_size
 
 
 _TRACK_VALUES = st.floats(width=64) | st.sampled_from(
@@ -517,6 +475,17 @@ def _break_stress(change):
     "mutate, match",
     [
         (lambda doc: doc.update(version=4), "unsupported model version 4"),
+        (lambda doc: doc.update(version=1), "unsupported model version 1"),
+        (lambda doc: doc.update(version=2), "unsupported model version 2"),
+        (lambda doc: doc.update(threshold=math.nan), "threshold must be finite and nonnegative, got nan"),
+        (lambda doc: doc.update(threshold=math.inf), "threshold must be finite and nonnegative, got inf"),
+        (lambda doc: doc.update(threshold=-0.5), r"threshold must be finite and nonnegative, got -0\.5"),
+        (lambda doc: doc.update(threshold="0.15"), "threshold must be finite and nonnegative, got '0.15'"),
+        (lambda doc: doc.update(sample_rate=11025), r"sample_rate must be an int in \(8000, .*\), got 11025$"),
+        (lambda doc: doc.update(sample_rate="16000"), "sample_rate must be an int in .*, got '16000'"),
+        (lambda doc: doc.update(sample_rate=16000.0), r"sample_rate must be an int in .*, got 16000\.0"),
+        (lambda doc: doc.update(sample_rate=True), "sample_rate must be an int in .*, got True"),
+        (lambda doc: doc.pop("sample_rate"), "malformed model file: 'sample_rate'"),
         (lambda doc: doc.pop("groups"), "malformed model file"),
         (_break_stress(lambda t: t.update(float64le="A")), "stress of ideal .*: data is not base64"),
         (_break_stress(lambda t: t.update(float64le="Ω")), "stress of ideal .*: data is not base64"),
