@@ -122,15 +122,23 @@ def entry_group(entry: ManifestEntry) -> int | None:
 
 
 def write_manifest(entries: list[ManifestEntry], path: str | Path) -> Path:
-    """Write entries back out as a manifest CSV; empty ranks stay empty."""
+    """Write entries as a manifest CSV that load_manifest reads back to the same files.
+
+    Entry paths name files as load_manifest gives them: absolute, or
+    relative to the working directory. A file under the manifest's
+    directory is written relative to it, any other file as an absolute
+    path. Empty ranks stay empty.
+    """
     path = Path(path)
+    base = path.parent.absolute()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(MANIFEST_HEADER)
         for e in entries:
+            wav = e.path.absolute()
             writer.writerow(
                 (
-                    str(e.path),
+                    str(wav.relative_to(base) if wav.is_relative_to(base) else wav),
                     e.speaker,
                     e.prompt,
                     "" if e.expert1 is None else e.expert1,
@@ -358,5 +366,5 @@ def generate_synthetic_corpus(cfg: SynthConfig, out_dir: str | Path) -> Path:
                 samples = _render_utterance(cfg, templates[prompt], prompt, group, speaker_idx)
                 name = f"{speaker}_p{prompt:02d}.wav"
                 write_wav(out / name, AudioClip(samples, cfg.sample_rate))
-                entries.append(ManifestEntry(Path(name), speaker, prompt, expert1, expert2, group))
+                entries.append(ManifestEntry(out / name, speaker, prompt, expert1, expert2, group))
     return write_manifest(entries, out / "manifest.csv")

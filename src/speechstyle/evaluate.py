@@ -160,7 +160,10 @@ class SystemEvaluation:
         }
 
 
-def _speaker_rank(entries: Sequence[ManifestEntry], which: str) -> dict[str, int]:
+def _speaker_rank(
+    entries: Sequence[ManifestEntry], which: str, manifest: str | Path, n_groups: int
+) -> dict[str, int]:
+    """Each speaker's rank in one expert column; every rank must lie in 0..n_groups - 1."""
     ranks: dict[str, int] = {}
     for entry in entries:
         value = getattr(entry, which)
@@ -169,6 +172,11 @@ def _speaker_rank(entries: Sequence[ManifestEntry], which: str) -> dict[str, int
         if ranks.setdefault(entry.speaker, value) != value:
             raise MissingLabel(
                 f"speaker {entry.speaker} has conflicting {which} labels"
+            )
+        if value >= n_groups:
+            raise RankOutOfRange(
+                f"{manifest}: {which} of speaker {entry.speaker}: "
+                f"rank {value} is outside 0..{n_groups - 1}"
             )
     return ranks
 
@@ -186,12 +194,14 @@ def evaluate_system(
     two-thirds side, every test utterance is classified, utterances are
     aggregated per speaker by majority vote, and the speaker ranks are
     compared against both experts and between the experts themselves.
-    Both expert columns are checked before any clip is read.
+    Both expert columns are checked, ranks included, before any clip is read.
     """
     entries = load_manifest(manifest)
     ref_entries, test_entries = split_corpus(entries, seed)
-    expert1 = _speaker_rank(test_entries, "expert1")
-    expert2 = _speaker_rank(test_entries, "expert2")
+    # The group count build_corpus_index will infer from the reference side.
+    n_groups = 1 + max((entry_group(e) for e in ref_entries), default=-1)
+    expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
+    expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
     bundles = ingest_manifest(entries, cfg)
     refs = build_reference_set(ref_entries, cfg, threshold, norm, bundles=bundles)
     ordered = sorted(test_entries, key=lambda e: (e.speaker, e.prompt))
@@ -202,7 +212,6 @@ def evaluate_system(
     )
     expert1_vector = LabelVector(entries=tuple(sorted(expert1.items())))
     expert2_vector = LabelVector(entries=tuple(sorted(expert2.items())))
-    n_groups = refs.n_groups
     return SystemEvaluation(
         reference_set=refs,
         speaker_labels=system_vector,

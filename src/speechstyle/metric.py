@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import binascii
 import ctypes
 import functools
-import hashlib
 import os
 import threading
 import warnings
@@ -67,10 +67,10 @@ _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-share
 
 def _build_kernel() -> Path:
     """Compile _dtw.c into the user cache once per source and flag set."""
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()[:16]
+    # A CRC-32 names the object: a digest from OpenSSL would map that library into every job.
+    key = binascii.crc32(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "speechstyle"
-    target = cache / f"dtw-{digest}.so"
+    target = cache / f"dtw-{key:08x}.so"
     if target.exists():
         return target
     import subprocess  # only a cold cache compiles

@@ -416,33 +416,38 @@ def _array_from_json(item: dict, name: str, ndim: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def reference_set_to_dict(refs: ReferenceSet) -> dict:
-    """The model document; feature tracks are exact base64 float64 arrays."""
+def _model_head(refs: ReferenceSet) -> dict:
+    """Every key of the model document but the cells."""
     return {
         "version": MODEL_VERSION,
         "sample_rate": refs.sample_rate,
         "frame_config": refs.config.to_dict(),
         "threshold": refs.threshold,
         "groups": list(refs.groups),
-        "cells": [
+    }
+
+
+def _cell_to_dict(c: ReferenceCell) -> dict:
+    return {
+        "prompt": c.prompt,
+        "group": c.group,
+        "mean": list(c.mean.as_tuple()),
+        "variation": c.variation,
+        "ideals": [
             {
-                "prompt": c.prompt,
-                "group": c.group,
-                "mean": list(c.mean.as_tuple()),
-                "variation": c.variation,
-                "ideals": [
-                    {
-                        "speaker": u.speaker,
-                        "spectral": _array_to_json(u.bundle.spectral),
-                        "pitch": _array_to_json(u.bundle.pitch),
-                        "stress": _array_to_json(u.bundle.stress),
-                    }
-                    for u in c.ideals
-                ],
+                "speaker": u.speaker,
+                "spectral": _array_to_json(u.bundle.spectral),
+                "pitch": _array_to_json(u.bundle.pitch),
+                "stress": _array_to_json(u.bundle.stress),
             }
-            for c in refs.cells
+            for u in c.ideals
         ],
     }
+
+
+def reference_set_to_dict(refs: ReferenceSet) -> dict:
+    """The model document; feature tracks are exact base64 float64 arrays."""
+    return {**_model_head(refs), "cells": [_cell_to_dict(c) for c in refs.cells]}
 
 
 def reference_set_from_dict(doc: dict) -> ReferenceSet:
@@ -458,9 +463,15 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
         threshold = doc["threshold"]
         if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
             raise ParseError(f"threshold must be finite and nonnegative, got {threshold!r}")
-        groups = tuple(doc["groups"])
+        groups = doc["groups"]
+        if not (isinstance(groups, list) and all(type(g) is str and g for g in groups)):
+            raise ParseError(f"groups must be a list of non-empty strings, got {groups!r}")
         if not groups:
             raise ParseError("model has no groups")
+        repeated = sorted({g for g in groups if groups.count(g) > 1})
+        if repeated:
+            raise ParseError(f"groups {repeated} are listed more than once")
+        groups = tuple(groups)
         cells = []
         for cell in doc["cells"]:
             prompt, group = cell["prompt"], cell["group"]
@@ -512,9 +523,19 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
 
 
 def save_reference_set(refs: ReferenceSet, path: str | Path) -> None:
+    """Write json.dumps(reference_set_to_dict(refs), indent=2) and a newline, one cell at a time.
+
+    Only one cell's base64 tracks are held in memory at once.
+    """
+    # The cells are the document's last key; dumped empty, they split the head from the tail.
+    head, tail = json.dumps({**_model_head(refs), "cells": []}, indent=2).rsplit("[]", 1)
     with open(path, "w") as handle:
-        json.dump(reference_set_to_dict(refs), handle, indent=2)
-        handle.write("\n")
+        handle.write(head + "[")
+        for k, cell in enumerate(refs.cells):
+            # JSON strings hold no raw newline, so indenting every line nests the dump.
+            text = json.dumps(_cell_to_dict(cell), indent=2).replace("\n", "\n    ")
+            handle.write(("," if k else "") + "\n    " + text)
+        handle.write("\n  ]" + tail + "\n")
 
 
 def load_reference_set(path: str | Path) -> ReferenceSet:

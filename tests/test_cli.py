@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -532,6 +533,26 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m 
     assert done.stdout.strip() == ""
 
 
+def test_build_refs_and_classify_do_not_load_openssl(tiny_corpus, tmp_path):
+    # _hashlib maps OpenSSL, about 4 MiB of every job's peak memory
+    _, manifest = tiny_corpus
+    model, results = str(tmp_path / "model.json"), str(tmp_path / "results.csv")
+    script = f"""
+import sys
+from speechstyle.cli import main
+assert main(["build-refs", "--manifest", {str(manifest)!r}, "--out", {model!r}]) == 0
+assert main(["classify", "--model", {model!r}, "--manifest", {str(manifest)!r}, "--out", {results!r}]) == 0
+print("loaded:", *sorted(m for m in ("_hashlib", "_ssl") if m in sys.modules))
+"""
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"
+
+
 def _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, bad_wav):
     """Run evaluate on the small corpus with its fourth clip swapped for bad_wav."""
     _, manifest = small_corpus
@@ -546,17 +567,29 @@ def _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, bad_wav):
     return err
 
 
-def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(small_corpus, capsys, tmp_path):
+@pytest.mark.parametrize("column", ["expert1", "expert2"])
+def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(
+    small_corpus, capsys, tmp_path, monkeypatch, column
+):
     _, manifest = small_corpus
     entries = [
-        dataclasses.replace(e, expert2=7) if e.speaker.startswith("g0") else e
+        dataclasses.replace(e, **{column: 7}) if e.speaker.startswith("g0") else e
         for e in load_manifest(manifest)
     ]
     bumped = write_manifest(entries, tmp_path / "bumped.csv")
     report = tmp_path / "report.json"
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("a clip was read before the expert ranks were checked")
+
+    monkeypatch.setattr(speechstyle.evaluate, "ingest_manifest", no_ingest)
     code, out, err = _run(capsys, "evaluate", "--manifest", str(bumped), "--out", str(report))
     assert code == 2
-    assert "rank 7 is outside 0..4" in err
+    assert re.search(
+        rf"^error: {re.escape(str(bumped))}: {column} of speaker g0s\d\d: rank 7 is outside 0\.\.4$",
+        err,
+        re.MULTILINE,
+    ), err
     assert "Traceback" not in err and out == ""
     assert not report.exists()
 

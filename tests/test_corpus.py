@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,20 @@ def test_write_manifest_round_trip(tmp_path):
     entries = load_manifest(_write(tmp_path, GOOD_MANIFEST))
     out = write_manifest(entries, tmp_path / "copy.csv")
     assert load_manifest(out) == entries
+
+
+@pytest.mark.parametrize("target", ["fc/bumped.csv", "fc/c/copy.csv", "bumped.csv", "elsewhere/x.csv"])
+def test_write_manifest_names_the_same_files_from_a_relative_directory(tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fc" / "c").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    entries = load_manifest(_write(Path("fc/c"), GOOD_MANIFEST))
+    again = load_manifest(write_manifest(entries, target))
+    assert [e.path.absolute() for e in again] == [e.path.absolute() for e in entries]
+    assert [replace(e, path=None) for e in again] == [replace(e, path=None) for e in entries]
+    if target == "fc/bumped.csv":
+        rows = Path(target).read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["c/a.wav", "c/sub/b.wav", "/abs/c.wav"]
 
 
 def test_entry_group_prefers_truth_then_expert1():

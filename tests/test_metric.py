@@ -1,4 +1,5 @@
 import ctypes
+import re
 import shutil
 import threading
 import warnings
@@ -129,6 +130,24 @@ def test_concurrent_cold_kernel_builds_in_one_process_all_succeed(monkeypatch, t
     assert len(results) == 3 and len(set(results)) == 1
     assert [p.name for p in (tmp_path / "speechstyle").iterdir()] == [results[0].name]
     assert ctypes.CDLL(str(results[0])).speechstyle_dtw is not None
+
+
+def test_kernel_object_name_changes_with_the_flags_and_the_source(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    flags = metric._KERNEL_FLAGS
+    first = metric._build_kernel()
+    assert first.parent == tmp_path / "speechstyle"
+    assert re.fullmatch(r"dtw-[0-9a-f]{8}\.so", first.name)
+    assert metric._build_kernel() == first
+    monkeypatch.setattr(metric, "_KERNEL_FLAGS", (*flags, "-g0"))
+    flagged = metric._build_kernel()
+    monkeypatch.setattr(metric, "_KERNEL_FLAGS", flags)
+    edited = tmp_path / "_dtw.c"
+    edited.write_bytes(metric._KERNEL_SOURCE.read_bytes() + b"\n/* edited */\n")
+    monkeypatch.setattr(metric, "_KERNEL_SOURCE", edited)
+    rebuilt = metric._build_kernel()
+    assert len({first.name, flagged.name, rebuilt.name}) == 3
+    assert all(path.exists() for path in (first, flagged, rebuilt))
 
 
 def test_failed_kernel_build_warns_once_and_falls_back(monkeypatch):

@@ -370,6 +370,34 @@ def test_model_file_bytes_are_deterministic(tiny_corpus, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "prompts, groups, ideals, voiced_prob",
+    [(1, 1, 1, 1.0), (2, 3, 4, 1.0), (2, 2, 2, 0.5)],
+    ids=["one-cell", "several-ideals", "nan-pitch"],
+)
+def test_model_file_is_the_whole_document_dumped_at_once(tmp_path, prompts, groups, ideals, voiced_prob):
+    rng = np.random.default_rng(11)
+    cells = tuple(
+        ReferenceCell(
+            prompt=w,
+            group=g,
+            mean=Triplet(0.5, -0.25, 1.0),
+            variation=0.1 * g,
+            ideals=tuple(
+                CellUtterance(f"s{k}", make_bundle(rng, 3 + k, voiced_prob=voiced_prob))
+                for k in range(ideals)
+            ),
+        )
+        for w in range(prompts)
+        for g in range(groups)
+    )
+    refs = ReferenceSet(FrameConfig(), 0.15, default_group_labels(groups), cells)
+    assert any(np.isnan(u.bundle.pitch).any() for c in cells for u in c.ideals) == (voiced_prob < 1)
+    model = tmp_path / "model.json"
+    save_reference_set(refs, model)
+    assert model.read_bytes() == (json.dumps(reference_set_to_dict(refs), indent=2) + "\n").encode()
+
+
 def test_load_rejects_unknown_version(tiny_corpus, tmp_path):
     _, manifest = tiny_corpus
     refs = build_reference_set(load_manifest(manifest), FrameConfig(), threshold=0.15)
@@ -503,6 +531,10 @@ def _break_stress(change):
         (lambda doc: doc["cells"][0].update(ideals=[]), r"cell \(prompt 0, group 0\) has no ideals"),
         (lambda doc: doc.update(cells=[]), r"missing cells \(prompt, group\): \(0, 0\), \(0, 1\)$"),
         (lambda doc: doc.update(groups=[], cells=[]), "model has no groups"),
+        (lambda doc: doc.update(groups="abcde"), "groups must be a list of non-empty strings, got 'abcde'"),
+        (lambda doc: doc.update(groups=[0, 1]), r"groups must be a list of non-empty strings, got \[0, 1\]"),
+        (lambda doc: doc.update(groups=["group0", ""]), "groups must be a list of non-empty strings"),
+        (lambda doc: doc.update(groups=["group0", "group0"]), r"groups \['group0'\] are listed more than once"),
         (lambda doc: doc["cells"][3].update(prompt=3.9), r"prompt and group must be ints, got 3\.9, 1"),
         (lambda doc: doc["cells"][1].update(group=True), r"prompt and group must be ints, got 0, True"),
         (lambda doc: doc["frame_config"].update(n_ceps=13.0), r"n_ceps must be int, got 13\.0"),
