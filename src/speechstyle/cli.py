@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .classify import NormKind, classify_manifest, classify_speaker, mean_scalars
-from .corpus import SynthConfig, generate_synthetic_corpus, load_manifest
-from .errors import ParseError, RankOutOfRange, RateMismatch, SpeechStyleError
+from .corpus import SynthConfig, generate_synthetic_corpus, load_labels, load_manifest
+from .errors import ParseError, RateMismatch, SpeechStyleError
 from .evaluate import AgreementReport, LabelVector, agreement, evaluate_system
 from .features import FrameConfig
 from .reference import (
@@ -162,13 +162,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _log("note: classify ignores --threshold; the model already holds the chosen ideals")
     refs = load_reference_set(args.model)
     entries = load_manifest(args.manifest)
-    bundles = ingest_manifest(entries, refs.config)
-    rate = next((bundle.sample_rate for bundle in bundles.values()), refs.sample_rate)
-    if rate != refs.sample_rate:
-        raise RateMismatch(
-            f"{args.manifest}: clips are sampled at {rate} Hz, but model {args.model} "
-            f"was built from {refs.sample_rate} Hz clips"
-        )
+    try:
+        bundles = ingest_manifest(entries, refs.config, refs.sample_rate)
+    except RateMismatch as exc:
+        raise RateMismatch(f"{exc} of model {args.model}") from exc
     results, by_speaker = classify_manifest(entries, bundles, refs, NormKind(args.norm))
     header = ["speaker", "prompt", "chosen", "dominant"] + [
         f"scalar_{g}" for g in range(refs.n_groups)
@@ -228,35 +225,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_label_file(path: str | Path) -> LabelVector:
-    entries: list[tuple[str, int]] = []
-    seen: set[str] = set()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != ("subject", "rank"):
-            raise ParseError(f"{path}: header must be subject,rank")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: line {line}: expected 2 fields")
-            subject, rank_text = row
-            if subject in seen:
-                raise ParseError(f"{path}: line {line}: duplicate subject {subject}")
-            seen.add(subject)
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {line}: rank must be an integer") from None
-            if rank < 0:
-                raise RankOutOfRange(f"{path}: line {line}: rank {rank} is negative")
-            entries.append((subject, rank))
-    return LabelVector(entries=tuple(entries))
-
-
 def cmd_agreement(args: argparse.Namespace) -> int:
-    report = agreement(_load_label_file(args.a), _load_label_file(args.b))
+    report = agreement(LabelVector(load_labels(args.a)), LabelVector(load_labels(args.b)))
     print(f"n                 {report.n}")
     print(f"Total agreement   {report.total_pct:.1f} %")
     print(f"1-step agreement  {report.one_step_pct:.1f} %")

@@ -14,13 +14,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .audio import SUPPORTED_RATES, AudioClip, write_wav
-from .errors import ParseError, RankOutOfRange
+from .errors import MissingLabel, ParseError, RankOutOfRange
 
 MANIFEST_HEADER = ("path", "speaker", "prompt", "expert1", "expert2", "truth")
+LABEL_HEADER = ("subject", "rank")
 
 _ENVELOPE_FLOOR = 0.10
 _FORMANT_BANDWIDTHS = np.array([110.0, 160.0, 220.0])
@@ -38,87 +40,102 @@ class ManifestEntry:
     truth: int | None
 
 
-def _parse_rank(field: str, line: int, name: str) -> int | None:
-    if field == "":
-        return None
+def _parse_rank(field: str, line: int, name: str) -> int:
+    """A nonnegative integer field."""
     try:
         value = int(field)
     except ValueError:
-        raise ParseError(f"line {line}: {name} must be an integer or empty") from None
+        raise ParseError(f"line {line}: {name} must be an integer") from None
     if value < 0:
         raise RankOutOfRange(f"line {line}: {name} {value} is negative")
     return value
+
+
+def _read_csv(path: str | Path, header: tuple[str, ...], parse_row: Callable) -> list:
+    """parse_row(line, row) of every non-blank row after a first row that must equal header.
+
+    Every row must have one field per header column. Every ParseError
+    and RankOutOfRange names the file and, through parse_row, the line.
+    """
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            first = next(reader, None)
+            if first is None:
+                raise ParseError("line 1: file is empty")
+            if tuple(first) != header:
+                got = ",".join(first)
+                raise ParseError(f"line 1: header must be {','.join(header)}, got {got}")
+            parsed = []
+            for row in reader:
+                if not row:
+                    continue
+                # A quoted field may span lines; a row is named by its last line.
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise ParseError(f"line {line}: expected {len(header)} fields")
+                parsed.append(parse_row(line, row))
+            return parsed
+    except (ParseError, RankOutOfRange) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a corpus manifest CSV.
 
     The header must be exactly path,speaker,prompt,expert1,expert2,truth.
-    Rank fields may be empty. Relative audio paths are resolved against
-    the manifest's directory. A negative prompt or rank raises
-    RankOutOfRange with the offending line. Every ParseError and
-    RankOutOfRange names the manifest path.
+    Blank rows are skipped and rank fields may be empty. Relative audio
+    paths are resolved against the manifest's directory. A negative
+    prompt or rank raises RankOutOfRange. Every ParseError and
+    RankOutOfRange names the manifest path and the line.
     """
-    path = Path(path)
-    try:
-        return _read_manifest(path)
-    except (ParseError, RankOutOfRange) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    base = Path(path).parent
+
+    def entry(line: int, row: list[str]) -> ManifestEntry:
+        wav, speaker, prompt, *ranks = row
+        if not wav:
+            raise ParseError(f"line {line}: empty audio path")
+        if not speaker:
+            raise ParseError(f"line {line}: empty speaker id")
+        prompt_index = _parse_rank(prompt, line, "prompt")
+        expert1, expert2, truth = (
+            None if field == "" else _parse_rank(field, line, name)
+            for field, name in zip(ranks, MANIFEST_HEADER[3:])
+        )
+        wav_path = Path(wav)
+        if not wav_path.is_absolute():
+            wav_path = base / wav_path
+        return ManifestEntry(wav_path, speaker, prompt_index, expert1, expert2, truth)
+
+    return _read_csv(path, MANIFEST_HEADER, entry)
 
 
-def _read_manifest(path: Path) -> list[ManifestEntry]:
-    base = path.parent
-    entries: list[ManifestEntry] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("line 1: manifest is empty") from None
-        if tuple(header) != MANIFEST_HEADER:
-            raise ParseError(
-                f"line 1: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise ParseError(f"line {line}: expected {len(MANIFEST_HEADER)} fields")
-            wav, speaker, prompt_field, e1, e2, truth = row
-            if not wav:
-                raise ParseError(f"line {line}: empty audio path")
-            if not speaker:
-                raise ParseError(f"line {line}: empty speaker id")
-            try:
-                prompt = int(prompt_field)
-            except ValueError:
-                raise ParseError(f"line {line}: prompt must be an integer") from None
-            if prompt < 0:
-                raise RankOutOfRange(f"line {line}: prompt {prompt} is negative")
-            ranks = [
-                _parse_rank(e1, line, "expert1"),
-                _parse_rank(e2, line, "expert2"),
-                _parse_rank(truth, line, "truth"),
-            ]
-            wav_path = Path(wav)
-            if not wav_path.is_absolute():
-                wav_path = base / wav_path
-            entries.append(
-                ManifestEntry(
-                    path=wav_path,
-                    speaker=speaker,
-                    prompt=prompt,
-                    expert1=ranks[0],
-                    expert2=ranks[1],
-                    truth=ranks[2],
-                )
-            )
-    return entries
+def load_labels(path: str | Path) -> tuple[tuple[str, int], ...]:
+    """Parse a subject,rank label file into (subject, rank) pairs in file order.
+
+    The header must be exactly subject,rank. Blank rows are skipped;
+    every other row names a new subject and a nonnegative integer rank,
+    which may not be empty. Every ParseError and RankOutOfRange names
+    the file and the line.
+    """
+    seen: set[str] = set()
+
+    def label(line: int, row: list[str]) -> tuple[str, int]:
+        subject, rank = row
+        if subject in seen:
+            raise ParseError(f"line {line}: duplicate subject {subject}")
+        seen.add(subject)
+        return subject, _parse_rank(rank, line, "rank")
+
+    return tuple(_read_csv(path, LABEL_HEADER, label))
 
 
-def entry_group(entry: ManifestEntry) -> int | None:
-    """Group rank used for reference building: truth, else expert1."""
-    return entry.truth if entry.truth is not None else entry.expert1
+def entry_group(entry: ManifestEntry) -> int:
+    """Group rank used for reference building: truth, else expert1, else MissingLabel."""
+    group = entry.truth if entry.truth is not None else entry.expert1
+    if group is None:
+        raise MissingLabel(f"{entry.path}: no truth or expert1 label")
+    return group
 
 
 def write_manifest(entries: list[ManifestEntry], path: str | Path) -> Path:

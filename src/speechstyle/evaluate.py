@@ -17,7 +17,7 @@ from .classify import (
 from .corpus import ManifestEntry, entry_group, load_manifest
 from .errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
 from .features import FrameConfig
-from .reference import ReferenceSet, build_reference_set, ingest_manifest
+from .reference import build_reference_set, ingest_manifest, label_grid
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,11 @@ def split_corpus(
     shuffle. Raises CellTooSmall when any (prompt, group) cell has
     fewer than three speakers.
     """
-    groups: dict[int, list[str]] = {}
+    groups: dict[int, set[str]] = {}
     cell_speakers: dict[tuple[int, int], set[str]] = {}
     for entry in entries:
         group = entry_group(entry)
-        if group is None:
-            raise MissingLabel(f"{entry.path}: no truth or expert1 label")
-        groups.setdefault(group, [])
-        if entry.speaker not in groups[group]:
-            groups[group].append(entry.speaker)
+        groups.setdefault(group, set()).add(entry.speaker)
         cell_speakers.setdefault((entry.prompt, group), set()).add(entry.speaker)
     small = sorted(key for key, spk in cell_speakers.items() if len(spk) < 3)
     if small:
@@ -145,7 +141,6 @@ class UtteranceOutcome:
 class SystemEvaluation:
     """Everything the evaluation protocol produces in one run."""
 
-    reference_set: ReferenceSet
     speaker_labels: LabelVector
     utterance_results: tuple[UtteranceOutcome, ...]
     vs_expert1: AgreementReport
@@ -162,23 +157,23 @@ class SystemEvaluation:
 
 def _speaker_rank(
     entries: Sequence[ManifestEntry], which: str, manifest: str | Path, n_groups: int
-) -> dict[str, int]:
-    """Each speaker's rank in one expert column; every rank must lie in 0..n_groups - 1."""
+) -> LabelVector:
+    """Each speaker's rank in one expert column; every rank must lie in 0..n_groups - 1.
+
+    Every error names the manifest and the column.
+    """
     ranks: dict[str, int] = {}
     for entry in entries:
         value = getattr(entry, which)
         if value is None:
-            raise MissingLabel(f"{entry.path}: missing {which} label")
-        if ranks.setdefault(entry.speaker, value) != value:
-            raise MissingLabel(
-                f"speaker {entry.speaker} has conflicting {which} labels"
-            )
-        if value >= n_groups:
-            raise RankOutOfRange(
-                f"{manifest}: {which} of speaker {entry.speaker}: "
-                f"rank {value} is outside 0..{n_groups - 1}"
-            )
-    return ranks
+            raise MissingLabel(f"{manifest}: {which} of {entry.path} is empty")
+        first = ranks.setdefault(entry.speaker, value)
+        if first != value or value >= n_groups:
+            where = f"{manifest}: {which} of speaker {entry.speaker}"
+            if first != value:
+                raise MissingLabel(f"{where}: ranks {first} and {value} conflict")
+            raise RankOutOfRange(f"{where}: rank {value} is outside 0..{n_groups - 1}")
+    return LabelVector(entries=tuple(sorted(ranks.items())))
 
 
 def evaluate_system(
@@ -194,12 +189,12 @@ def evaluate_system(
     two-thirds side, every test utterance is classified, utterances are
     aggregated per speaker by majority vote, and the speaker ranks are
     compared against both experts and between the experts themselves.
-    Both expert columns are checked, ranks included, before any clip is read.
+    The reference side's cell grid and both expert columns, ranks
+    included, are checked before any clip is read.
     """
     entries = load_manifest(manifest)
     ref_entries, test_entries = split_corpus(entries, seed)
-    # The group count build_corpus_index will infer from the reference side.
-    n_groups = 1 + max((entry_group(e) for e in ref_entries), default=-1)
+    n_groups = label_grid(ref_entries)
     expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
     expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
     bundles = ingest_manifest(entries, cfg)
@@ -210,13 +205,10 @@ def evaluate_system(
     system_vector = LabelVector(
         entries=tuple((speaker, classify_speaker(rs)) for speaker, rs in by_speaker.items())
     )
-    expert1_vector = LabelVector(entries=tuple(sorted(expert1.items())))
-    expert2_vector = LabelVector(entries=tuple(sorted(expert2.items())))
     return SystemEvaluation(
-        reference_set=refs,
         speaker_labels=system_vector,
         utterance_results=outcomes,
-        vs_expert1=agreement(system_vector, expert1_vector, n_groups),
-        vs_expert2=agreement(system_vector, expert2_vector, n_groups),
-        expert1_vs_expert2=agreement(expert1_vector, expert2_vector, n_groups),
+        vs_expert1=agreement(system_vector, expert1, n_groups),
+        vs_expert2=agreement(system_vector, expert2, n_groups),
+        expert1_vs_expert2=agreement(expert1, expert2, n_groups),
     )

@@ -22,7 +22,6 @@ from .errors import (
     ConfigMismatch,
     EmptyCell,
     MissingCell,
-    MissingLabel,
     ParseError,
     RateMismatch,
     SpeechStyleError,
@@ -288,23 +287,23 @@ def ingest_clip(path: str | Path, cfg: FrameConfig) -> FeatureBundle:
 
 
 def ingest_manifest(
-    entries: Sequence[ManifestEntry], cfg: FrameConfig
+    entries: Sequence[ManifestEntry], cfg: FrameConfig, rate: int | None = None
 ) -> dict[Path, FeatureBundle]:
     """Ingest every entry's clip, keyed by path, on a thread pool.
 
-    The first clip's rate is the corpus rate; a clip at any other rate
-    raises RateMismatch. Clips are ingested in parallel but taken in
-    manifest order, so the error raised is the first in manifest order,
-    as if the clips were read one by one.
+    Every clip must be sampled at rate, the corpus rate, which defaults
+    to the first clip's; a clip at any other rate raises RateMismatch.
+    Clips are ingested in parallel but taken in manifest order, so the
+    error raised is the first in manifest order, as if the clips were
+    read one by one.
     """
     bundles: dict[Path, FeatureBundle] = {}
-    rate = None
     ingested = _ordered_map(lambda entry: ingest_clip(entry.path, cfg), entries)
     # strict: entries run out first, so the pool is shut down right here.
     for entry, bundle in zip(entries, ingested, strict=True):
         if rate is None:
             rate = bundle.sample_rate
-        elif bundle.sample_rate != rate:
+        if bundle.sample_rate != rate:
             ingested.close()  # cancels the clips not yet started
             raise RateMismatch(
                 f"{entry.path}: sample rate {bundle.sample_rate} differs from corpus rate {rate}"
@@ -327,6 +326,24 @@ def _grid_holes(cells: Container[tuple[int, int]], n_prompts: int, n_groups: int
     )
 
 
+def label_grid(entries: Sequence[ManifestEntry]) -> int:
+    """The group count of labeled entries; reads no clip.
+
+    Group ranks come from entry_group, so every entry needs a truth or
+    expert1 label. Prompt and group counts are inferred from the largest
+    indices seen; any hole in the (prompt, group) grid raises MissingCell.
+    """
+    if not entries:
+        raise MissingCell("manifest has no usable entries")
+    cells = {(entry.prompt, entry_group(entry)) for entry in entries}
+    n_prompts = 1 + max(w for w, _ in cells)
+    n_groups = 1 + max(g for _, g in cells)
+    missing = _grid_holes(cells, n_prompts, n_groups)
+    if missing:
+        raise MissingCell(f"manifest is missing cells (prompt, group): {missing}")
+    return n_groups
+
+
 def build_corpus_index(
     entries: Sequence[ManifestEntry],
     cfg: FrameConfig,
@@ -334,35 +351,21 @@ def build_corpus_index(
 ) -> CorpusIndex:
     """Extract features for labeled entries and group them into cells.
 
-    Group ranks come from the truth column, falling back to expert1.
-    Prompt and group counts are inferred from the largest indices seen;
-    any hole in the (prompt, group) grid raises MissingCell. Every label
-    is checked before any clip is read; bundles, when given, must hold
-    every entry's path, extracted under cfg or else ConfigMismatch.
+    The labels and the cell grid are checked by label_grid before any
+    clip is read; bundles, when given, must hold every entry's path,
+    extracted under cfg or else ConfigMismatch.
     """
-    if not entries:
-        raise MissingCell("manifest has no usable entries")
-    labeled: list[tuple[ManifestEntry, int]] = []
-    for entry in entries:
-        group = entry_group(entry)
-        if group is None:
-            raise MissingLabel(f"{entry.path}: no truth or expert1 label")
-        labeled.append((entry, group))
+    n_groups = label_grid(entries)
     if bundles is None:
         bundles = ingest_manifest(entries, cfg)
-    n_prompts = 1 + max(e.prompt for e, _ in labeled)
-    n_groups = 1 + max(g for _, g in labeled)
     cells: dict[tuple[int, int], list[CellUtterance]] = {}
-    for entry, group in labeled:
+    for entry in entries:
         bundle = bundles[entry.path]
         if bundle.config != cfg:
             raise ConfigMismatch(f"{entry.path}: features come from another frame config")
-        cells.setdefault((entry.prompt, group), []).append(
+        cells.setdefault((entry.prompt, entry_group(entry)), []).append(
             CellUtterance(speaker=entry.speaker, bundle=bundle)
         )
-    missing = _grid_holes(cells, n_prompts, n_groups)
-    if missing:
-        raise MissingCell(f"manifest is missing cells (prompt, group): {missing}")
     return CorpusIndex(
         groups=default_group_labels(n_groups),
         cells={key: tuple(val) for key, val in sorted(cells.items())},

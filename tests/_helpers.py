@@ -2,10 +2,11 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from speechstyle import FeatureBundle, FrameConfig, compute_triplet, scalarize
+from speechstyle import FeatureBundle, FrameConfig, ManifestEntry, compute_triplet, scalarize
 
 DEFAULT_CFG = FrameConfig()
 
@@ -23,6 +24,26 @@ def make_bundle(rng, frames, ceps=3, voiced_prob=1.0, cfg=DEFAULT_CFG):
     return FeatureBundle(
         spectral=spectral, pitch=pitch, stress=stress, config=cfg, sample_rate=16000
     )
+
+
+def fake_corpus_entries(groups, speakers_per_group, prompts):
+    """Manifest entries of a full groups x speakers x prompts grid; the clips do not exist."""
+    entries = []
+    for g in range(groups):
+        for s in range(speakers_per_group):
+            speaker = f"g{g}s{s:02d}"
+            for w in range(prompts):
+                entries.append(
+                    ManifestEntry(
+                        path=Path(f"/none/{speaker}_p{w:02d}.wav"),
+                        speaker=speaker,
+                        prompt=w,
+                        expert1=g,
+                        expert2=g,
+                        truth=g,
+                    )
+                )
+    return entries
 
 
 def euclid(u, v):

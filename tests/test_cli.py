@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import speechstyle
-from _helpers import write_float_wav
+from _helpers import fake_corpus_entries, write_float_wav
 from speechstyle import SynthConfig, load_manifest, load_reference_set, write_manifest
 from speechstyle.cli import build_parser, main
+from speechstyle.corpus import load_labels
 
 
 def _run(capsys, *argv):
@@ -54,6 +55,17 @@ def cli_model(cli_corpus, tmp_path_factory):
     code = main(["build-refs", "--manifest", str(cli_corpus), "--out", str(model)])
     assert code == 0
     return model
+
+
+@pytest.fixture(scope="module")
+def cli_corpus_44k(tmp_path_factory):
+    """A 2x2x1 corpus at 44.1 kHz and the model built from it."""
+    corpus = tmp_path_factory.mktemp("cli_corpus_44k")
+    assert main(["synth", "--out", str(corpus), "--groups", "2", "--speakers-per-group", "2",
+                 "--prompts", "1", "--duration-ms", "400", "--sample-rate", "44100"]) == 0
+    model = corpus / "model44k.json"
+    assert main(["build-refs", "--manifest", str(corpus / "manifest.csv"), "--out", str(model)]) == 0
+    return corpus / "manifest.csv", model
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -294,13 +306,9 @@ def test_classify_rejects_nan_clip_before_writing(cli_corpus, cli_model, capsys,
 
 
 def test_classify_rejects_manifest_at_another_rate_than_the_model(
-    cli_corpus, cli_model, capsys, tmp_path
+    cli_corpus, cli_model, cli_corpus_44k, capsys, tmp_path
 ):
-    corpus = tmp_path / "corpus44k"
-    assert main(["synth", "--out", str(corpus), "--groups", "2", "--speakers-per-group", "2",
-                 "--prompts", "1", "--duration-ms", "400", "--sample-rate", "44100"]) == 0
-    model = tmp_path / "model44k.json"
-    assert main(["build-refs", "--manifest", str(corpus / "manifest.csv"), "--out", str(model)]) == 0
+    manifest_44k, model = cli_corpus_44k
     capsys.readouterr()
     results = tmp_path / "r.csv"
     code, _, err = _run(
@@ -323,10 +331,34 @@ def test_classify_rejects_manifest_at_another_rate_than_the_model(
     del doc["sample_rate"]
     old = tmp_path / "v1.json"
     old.write_text(json.dumps(doc))
-    argv = ["classify", "--model", str(old), "--manifest", str(corpus / "manifest.csv")]
+    argv = ["classify", "--model", str(old), "--manifest", str(manifest_44k)]
     code, _, err = _run(capsys, *argv, "--out", str(results))
     assert code == 2
     assert f"error: {old}: unsupported model version 1" in err
+    assert not results.exists()
+
+
+def test_classify_stops_at_the_first_clip_at_another_rate_than_the_model(
+    cli_corpus, cli_corpus_44k, capsys, tmp_path, monkeypatch
+):
+    _, model = cli_corpus_44k
+    read = []
+    ingest_clip = speechstyle.reference.ingest_clip
+
+    def counted(path, cfg):
+        read.append(path)
+        return ingest_clip(path, cfg)
+
+    monkeypatch.setattr(speechstyle.reference, "_worker_count", lambda items: 1)
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", counted)
+    results = tmp_path / "r.csv"
+    argv = ["classify", "--model", str(model), "--manifest", str(cli_corpus), "--out", str(results)]
+    code, out, err = _run(capsys, *argv)
+    first = load_manifest(cli_corpus)[0].path
+    assert (code, out, read) == (2, "", [first])
+    assert err == (
+        f"error: {first}: sample rate 16000 differs from corpus rate 44100 of model {model}\n"
+    )
     assert not results.exists()
 
 
@@ -488,21 +520,37 @@ def test_agreement_disjoint_subjects_is_data_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line, message",
     [
-        "wrong,header\nx,0\n",
-        "subject,rank\nx,zero\n",
-        "subject,rank\nx,0\nx,1\n",
-        "subject,rank\nx,-2\n",
+        ("wrong,header\nx,0\n", 1, "header must be subject,rank, got wrong,header"),
+        ("", 1, "file is empty"),
+        ("subject,rank\nx,zero\n", 2, "rank must be an integer"),
+        ("subject,rank\nx,0\nx,1\n", 3, "duplicate subject x"),
+        ("subject,rank\nx,-2\n", 2, "rank -2 is negative"),
+        ("subject,rank\nx,0,1\n", 2, "expected 2 fields"),
+        ("subject,rank\nx,\n", 2, "rank must be an integer"),
+        ("subject,rank\n\nx,0\n\nx,1\n", 5, "duplicate subject x"),
+        ('subject,rank\n"x\ny",0\nz,one\n', 4, "rank must be an integer"),
     ],
 )
-def test_agreement_rejects_malformed_label_files(capsys, tmp_path, text):
+def test_agreement_rejects_malformed_label_files(capsys, tmp_path, text, line, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
     good = _label_file(tmp_path, "good.csv", [("x", 0)])
-    code, _, err = _run(capsys, "agreement", "--a", str(bad), "--b", str(good))
-    assert code == 2
-    assert "error" in err
+    code, out, err = _run(capsys, "agreement", "--a", str(bad), "--b", str(good))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line {line}: {message}\n"
+
+
+def test_agreement_skips_blank_rows_in_label_files(capsys, tmp_path):
+    a = tmp_path / "a.csv"
+    a.write_text("subject,rank\n\nx,0\n\n\ny,2\n\n")
+    b = _label_file(tmp_path, "b.csv", [("x", 0), ("y", 1)])
+    assert load_labels(a) == (("x", 0), ("y", 2))
+    code, stdout, _ = _run(capsys, "agreement", "--a", str(a), "--b", str(b))
+    assert code == 0
+    assert "n                 2" in stdout
+    assert "Total agreement   50.0 %" in stdout
 
 
 def test_agreement_missing_file_is_data_error(capsys, tmp_path):
@@ -592,6 +640,23 @@ def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(
     ), err
     assert "Traceback" not in err and out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["build-refs", "evaluate"])
+@pytest.mark.parametrize("hole", [(1, 2), (1, 4)], ids=["inner", "last-group-of-last-prompt"])
+def test_grid_holes_are_found_before_any_clip_is_read(capsys, tmp_path, monkeypatch, command, hole):
+    entries = [e for e in fake_corpus_entries(5, 3, 2) if (e.prompt, e.truth) != hole]
+    manifest = write_manifest(entries, tmp_path / "holed.csv")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a clip was read before the cell grid was checked")
+
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", no_read)
+    out_path = tmp_path / "out"
+    code, out, err = _run(capsys, command, "--manifest", str(manifest), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: manifest is missing cells (prompt, group): {hole}\n"
+    assert not out_path.exists()
 
 
 def test_evaluate_names_a_silent_clip(small_corpus, capsys, tmp_path):

@@ -17,7 +17,7 @@ from speechstyle import (
 )
 from speechstyle.audio import read_wav, strip_silence
 from speechstyle.corpus import _group_scales
-from speechstyle.errors import ParseError, RankOutOfRange
+from speechstyle.errors import MissingLabel, ParseError, RankOutOfRange
 from speechstyle.features import extract_features
 from speechstyle.reference import ingest_clip
 
@@ -100,7 +100,8 @@ def test_entry_group_prefers_truth_then_expert1():
     base = dict(path=Path("x.wav"), speaker="s", prompt=0, expert2=None)
     assert entry_group(ManifestEntry(expert1=0, truth=3, **base)) == 3
     assert entry_group(ManifestEntry(expert1=2, truth=None, **base)) == 2
-    assert entry_group(ManifestEntry(expert1=None, truth=None, **base)) is None
+    with pytest.raises(MissingLabel, match=r"^x\.wav: no truth or expert1 label$"):
+        entry_group(ManifestEntry(expert1=None, truth=None, **base))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import fake_corpus_entries
 from speechstyle import (
     AgreementReport,
     FrameConfig,
@@ -135,27 +137,8 @@ def test_agreement_report_to_dict():
     }
 
 
-def _fake_corpus_entries(groups, speakers_per_group, prompts):
-    entries = []
-    for g in range(groups):
-        for s in range(speakers_per_group):
-            speaker = f"g{g}s{s:02d}"
-            for w in range(prompts):
-                entries.append(
-                    ManifestEntry(
-                        path=Path(f"/none/{speaker}_p{w:02d}.wav"),
-                        speaker=speaker,
-                        prompt=w,
-                        expert1=g,
-                        expert2=g,
-                        truth=g,
-                    )
-                )
-    return entries
-
-
 def test_split_is_stratified_and_never_straddles_speakers():
-    entries = _fake_corpus_entries(4, 5, 3)
+    entries = fake_corpus_entries(4, 5, 3)
     ref, test = split_corpus(entries, seed=9)
     ref_speakers = {e.speaker for e in ref}
     test_speakers = {e.speaker for e in test}
@@ -198,13 +181,13 @@ def test_split_properties(entries, seed):
 
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 1), (5, 2), (6, 2), (7, 2), (9, 3)])
 def test_split_test_count_per_group(n, expected):
-    entries = _fake_corpus_entries(1, n, 1)
+    entries = fake_corpus_entries(1, n, 1)
     _, test = split_corpus(entries, seed=3)
     assert len({e.speaker for e in test}) == expected
 
 
 def test_split_is_deterministic_and_seed_sensitive():
-    entries = _fake_corpus_entries(5, 6, 2)
+    entries = fake_corpus_entries(5, 6, 2)
     ref_a, test_a = split_corpus(entries, seed=42)
     ref_b, test_b = split_corpus(entries, seed=42)
     assert ref_a == ref_b and test_a == test_b
@@ -213,7 +196,7 @@ def test_split_is_deterministic_and_seed_sensitive():
 
 
 def test_split_pinned_selection_for_default_seed():
-    entries = _fake_corpus_entries(5, 6, 4)
+    entries = fake_corpus_entries(5, 6, 4)
     _, test = split_corpus(entries, seed=42)
     assert {e.speaker for e in test} == {
         "g0s02",
@@ -230,14 +213,14 @@ def test_split_pinned_selection_for_default_seed():
 
 
 def test_split_preserves_manifest_order_within_sides():
-    entries = _fake_corpus_entries(2, 6, 2)
+    entries = fake_corpus_entries(2, 6, 2)
     ref, test = split_corpus(entries, seed=1)
     assert ref == [e for e in entries if e in ref]
     assert test == [e for e in entries if e in test]
 
 
 def test_split_rejects_small_cells():
-    entries = _fake_corpus_entries(2, 2, 2)
+    entries = fake_corpus_entries(2, 2, 2)
     with pytest.raises(CellTooSmall, match=r"\(0, 0\)"):
         split_corpus(entries, seed=0)
 
@@ -250,11 +233,29 @@ def test_split_requires_labels():
         split_corpus([entry], seed=0)
 
 
-def test_evaluate_system_checks_expert_labels_before_reading(tmp_path):
+def _no_expert2(entry):
+    return dataclasses.replace(entry, expert2=None)
+
+
+def _g0_expert2_changes_at_prompt_1(entry):
+    if entry.speaker.startswith("g0") and entry.prompt == 1:
+        return dataclasses.replace(entry, expert2=1)
+    return entry
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_no_expert2, r"expert2 of /none/g\ds\d\d_p00\.wav is empty"),
+        (_g0_expert2_changes_at_prompt_1, r"expert2 of speaker g0s\d\d: ranks 0 and 1 conflict"),
+    ],
+    ids=["missing", "conflict"],
+)
+def test_evaluate_system_checks_expert_labels_before_reading(tmp_path, change, message):
     # the clips do not exist: reading any of them would raise OSError first
-    entries = [dataclasses.replace(e, expert2=None) for e in _fake_corpus_entries(2, 3, 1)]
-    manifest = write_manifest(entries, tmp_path / "no_expert2.csv")
-    with pytest.raises(MissingLabel, match="expert2"):
+    entries = [change(e) for e in fake_corpus_entries(2, 3, 2)]
+    manifest = write_manifest(entries, tmp_path / "experts.csv")
+    with pytest.raises(MissingLabel, match=f"^{re.escape(str(manifest))}: {message}$"):
         evaluate_system(manifest, FrameConfig())
 
 
