@@ -16,7 +16,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from .corpus import ManifestEntry
-    from .reference import ReferenceSet
+    from .reference import CellUtterance, ReferenceSet
 
 
 class NormKind(Enum):
@@ -61,7 +61,7 @@ class ClassificationResult:
 
 def score_against_group(
     test: FeatureBundle,
-    ideals: Sequence[tuple[str, FeatureBundle]],
+    ideals: Sequence["CellUtterance"],
     group: int,
     norm: NormKind = NormKind.L2,
 ) -> GroupScore:
@@ -73,11 +73,11 @@ def score_against_group(
     if not ideals:
         raise EmptyCell(f"group {group} has no ideals for this prompt")
     best: tuple[float, str, Triplet] | None = None
-    for speaker, bundle in sorted(ideals, key=lambda item: item[0]):
-        t = compute_triplet(test, bundle)
+    for ideal in sorted(ideals, key=lambda u: u.speaker):
+        t = compute_triplet(test, ideal.bundle)
         s = scalarize(t, norm)
         if best is None or s < best[0]:
-            best = (s, speaker, t)
+            best = (s, ideal.speaker, t)
     return GroupScore(group=group, triplet=best[2], scalar=best[0], ideal_used=best[1])
 
 
@@ -98,10 +98,10 @@ def classify_utterance(
     result is marked dominant. Otherwise the smallest scalarized score
     decides, with ties going to the lower group rank.
     """
-    if not refs.has_prompt(prompt):
+    if not 0 <= prompt < refs.n_prompts:
         raise UnknownPrompt(f"prompt {prompt} is not covered by the reference set")
     scores = tuple(
-        score_against_group(test, refs.ideals(prompt, g), g, norm)
+        score_against_group(test, refs.cell(prompt, g).ideals, g, norm)
         for g in range(refs.n_groups)
     )
     dominant_groups = [

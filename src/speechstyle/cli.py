@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .classify import NormKind, classify_manifest, classify_speaker, mean_scalars
 from .corpus import SynthConfig, generate_synthetic_corpus, load_labels, load_manifest
-from .errors import ParseError, RateMismatch, SpeechStyleError
+from .errors import MissingCell, ParseError, RateMismatch, SpeechStyleError, UnknownPrompt
 from .evaluate import AgreementReport, LabelVector, agreement, evaluate_system
 from .features import FrameConfig
 from .reference import (
@@ -149,7 +149,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_build_refs(args: argparse.Namespace) -> int:
     cfg = _frame_config(args.frame_config)
     entries = load_manifest(args.manifest)
-    refs = build_reference_set(entries, cfg, args.threshold, NormKind(args.norm))
+    try:
+        refs = build_reference_set(entries, cfg, args.threshold, NormKind(args.norm))
+    except MissingCell as exc:
+        raise MissingCell(f"{args.manifest}: {exc}") from exc
     save_reference_set(refs, args.out)
     for cell in refs.cells:
         print(f"prompt {cell.prompt} group {cell.group}: {len(cell.ideals)} ideal(s)")
@@ -162,6 +165,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _log("note: classify ignores --threshold; the model already holds the chosen ideals")
     refs = load_reference_set(args.model)
     entries = load_manifest(args.manifest)
+    for entry in entries:
+        if entry.prompt >= refs.n_prompts:
+            raise UnknownPrompt(
+                f"{entry.path}: prompt {entry.prompt} is not covered by model {args.model},"
+                f" which has {refs.n_prompts} prompt(s)"
+            )
     try:
         bundles = ingest_manifest(entries, refs.config, refs.sample_rate)
     except RateMismatch as exc:

@@ -15,9 +15,9 @@ from .classify import (
     classify_speaker,
 )
 from .corpus import ManifestEntry, entry_group, load_manifest
-from .errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
+from .errors import CellTooSmall, MissingCell, MissingLabel, RankOutOfRange, SubjectMismatch
 from .features import FrameConfig
-from .reference import build_reference_set, ingest_manifest, label_grid
+from .reference import build_reference_set, check_threshold, ingest_manifest, label_grid
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,16 @@ def evaluate_system(
     two-thirds side, every test utterance is classified, utterances are
     aggregated per speaker by majority vote, and the speaker ranks are
     compared against both experts and between the experts themselves.
-    The reference side's cell grid and both expert columns, ranks
-    included, are checked before any clip is read.
+    The threshold, the reference side's cell grid and both expert
+    columns, ranks included, are checked before any clip is read.
     """
+    check_threshold(threshold)
     entries = load_manifest(manifest)
     ref_entries, test_entries = split_corpus(entries, seed)
-    n_groups = label_grid(ref_entries)
+    try:
+        n_groups = label_grid(ref_entries)
+    except MissingCell as exc:
+        raise MissingCell(f"{manifest}: {exc}") from exc
     expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
     expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
     bundles = ingest_manifest(entries, cfg)

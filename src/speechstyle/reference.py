@@ -7,9 +7,9 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Container, Iterator, Sequence
 
@@ -69,43 +69,85 @@ class ReferenceCell:
     ideals: tuple[CellUtterance, ...]
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless threshold is a finite, nonnegative real number (not a bool)."""
+    if isinstance(threshold, bool) or not (
+        isinstance(threshold, numbers.Real) and 0 <= threshold < math.inf
+    ):
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
+
+
 @dataclass(frozen=True)
 class ReferenceSet:
-    """Selected ideals for every (prompt, group) cell."""
+    """Selected ideals for every cell of a full (prompt, group) grid.
+
+    Construction raises ValueError for a set that breaks a rule of
+    __post_init__, and keeps the cells in (prompt, group) order, so cell
+    (p, g) sits at position p * n_groups + g.
+    """
 
     config: FrameConfig
     threshold: float
     groups: tuple[str, ...]
     cells: tuple[ReferenceCell, ...]
 
+    def __post_init__(self) -> None:
+        check_threshold(self.threshold)
+        groups = self.groups
+        if not (isinstance(groups, (list, tuple)) and all(type(g) is str and g for g in groups)):
+            raise ValueError(f"groups must be a list of non-empty strings, got {groups!r}")
+        if not groups:
+            raise ValueError("model has no groups")
+        repeated = sorted({g for g in groups if groups.count(g) > 1})
+        if repeated:
+            raise ValueError(f"groups {repeated} are listed more than once")
+        for c in self.cells:
+            if type(c.prompt) is not int or type(c.group) is not int:
+                raise ValueError(
+                    f"cell prompt and group must be ints, got {c.prompt!r}, {c.group!r}"
+                )
+            where = f"cell (prompt {c.prompt}, group {c.group})"
+            if c.prompt < 0 or c.group not in range(len(groups)):
+                raise ValueError(f"{where} lies outside the model's {len(groups)} groups")
+            if not c.ideals:
+                raise ValueError(f"{where} has no ideals")
+            for u in c.ideals:
+                if type(u.speaker) is not str or not u.speaker:
+                    raise ValueError(
+                        f"{where}: ideal speaker must be a non-empty string, got {u.speaker!r}"
+                    )
+        cells = tuple(sorted(self.cells, key=lambda c: (c.prompt, c.group)))
+        keys = [(c.prompt, c.group) for c in cells]
+        for key, after in zip(keys, keys[1:]):
+            if key == after:
+                raise ValueError(f"cell (prompt {key[0]}, group {key[1]}) is listed twice")
+        # Prompt 0 is always covered, so a set without cells misses (0, g).
+        n_prompts = 1 + (keys[-1][0] if keys else 0)
+        missing = _grid_holes(set(keys), n_prompts, len(groups))
+        if missing:
+            raise ValueError(f"model is missing cells (prompt, group): {missing}")
+        # A decoded model's list of groups and int threshold take the declared types.
+        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "cells", cells)
+
     @property
     def n_groups(self) -> int:
         return len(self.groups)
 
     @property
+    def n_prompts(self) -> int:
+        return len(self.cells) // self.n_groups
+
+    @property
     def sample_rate(self) -> int:
-        """Rate of the ideals' clips; load and select_ideals give every cell an ideal."""
+        """Rate of the ideals' clips; every cell has an ideal."""
         return self.cells[0].ideals[0].bundle.sample_rate
 
-    @cached_property
-    def _grid(self) -> dict[int, dict[int, ReferenceCell]]:
-        """Cells by prompt, then group."""
-        grid: dict[int, dict[int, ReferenceCell]] = {}
-        for c in self.cells:
-            grid.setdefault(c.prompt, {})[c.group] = c
-        return grid
-
-    def has_prompt(self, prompt: int) -> bool:
-        return prompt in self._grid
-
     def cell(self, prompt: int, group: int) -> ReferenceCell:
-        try:
-            return self._grid[prompt][group]
-        except KeyError:
-            raise MissingCell(f"model has no cell for prompt {prompt}, group {group}") from None
-
-    def ideals(self, prompt: int, group: int) -> tuple[tuple[str, FeatureBundle], ...]:
-        return tuple((u.speaker, u.bundle) for u in self.cell(prompt, group).ideals)
+        if not (0 <= prompt < self.n_prompts and 0 <= group < self.n_groups):
+            raise MissingCell(f"model has no cell for prompt {prompt}, group {group}")
+        return self.cells[prompt * self.n_groups + group]
 
 
 def default_group_labels(n_groups: int) -> tuple[str, ...]:
@@ -206,31 +248,24 @@ def compute_cell_average(
     return _cell_statistics(pairs, norm)[0]
 
 
-def _medoid(indices: list[int], scalars: np.ndarray, cell: Sequence[CellUtterance]) -> int:
-    """Index minimizing the summed score to the other listed utterances.
-
-    Ties fall to the smallest speaker id.
-    """
-    best = None
-    for k in indices:
-        total = sum(scalars[k, l] for l in indices if l != k)
-        key = (total, cell[k].speaker)
-        if best is None or key < best[0]:
-            best = (key, k)
-    return best[1]
-
-
 def _select_cell_ideals(
     cell: Sequence[CellUtterance], scalars: np.ndarray, variation: float, threshold: float
 ) -> tuple[int, ...]:
-    everyone = list(range(len(cell)))
-    if variation <= threshold:
-        return (_medoid(everyone, scalars, cell),)
+    """Indices of a cell's ideals, ascending: greedy medoids of the uncovered utterances.
+
+    Ties fall to the smallest speaker id; a cell whose variation is
+    within the threshold keeps only its first pick.
+    """
     chosen: list[int] = []
-    uncovered = everyone
+    uncovered = list(range(len(cell)))
     while uncovered:
-        pick = _medoid(uncovered, scalars, cell)
+        pick = min(
+            uncovered,
+            key=lambda k: (sum(scalars[k, l] for l in uncovered if l != k), cell[k].speaker),
+        )
         chosen.append(pick)
+        if variation <= threshold:
+            break
         uncovered = [k for k in uncovered if scalars[k, pick] > threshold]
     return tuple(sorted(chosen))
 
@@ -248,8 +283,7 @@ def select_ideals(
     lies within the threshold of some chosen ideal, so in the worst
     case every utterance of the cell becomes an ideal.
     """
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
+    check_threshold(threshold)  # below zero, the cover never ends
     keys = sorted(index.cells)
     utterances = [index.cells[key] for key in keys]
     cells = []
@@ -382,10 +416,9 @@ def build_reference_set(
 ) -> ReferenceSet:
     """End-to-end reference build from manifest entries.
 
-    A negative or non-finite threshold is rejected before any clip is read.
+    A threshold that fails check_threshold is rejected before any clip is read.
     """
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
+    check_threshold(threshold)
     return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
 
 
@@ -417,6 +450,24 @@ def _array_from_json(item: dict, name: str, ndim: int) -> np.ndarray:
             f"{where}: {len(data)} bytes of data, but shape {shape} needs {8 * math.prod(shape)}"
         )
     return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+
+
+def _ideal_from_json(item: dict, cfg: FrameConfig, rate: int) -> CellUtterance:
+    """Decode one ideal; its spectral track must have cfg.n_ceps columns."""
+    spectral = _array_from_json(item, "spectral", 2)
+    if spectral.shape[1] != cfg.n_ceps:
+        raise ParseError(
+            f"spectral of ideal {item['speaker']!r}: {spectral.shape[1]} coefficients per frame,"
+            f" but frame_config has n_ceps {cfg.n_ceps}"
+        )
+    bundle = FeatureBundle(
+        spectral,
+        _array_from_json(item, "pitch", 1),
+        _array_from_json(item, "stress", 1),
+        config=cfg,
+        sample_rate=rate,
+    )
+    return CellUtterance(speaker=item["speaker"], bundle=bundle)
 
 
 def _model_head(refs: ReferenceSet) -> dict:
@@ -454,7 +505,7 @@ def reference_set_to_dict(refs: ReferenceSet) -> dict:
 
 
 def reference_set_from_dict(doc: dict) -> ReferenceSet:
-    """Decode a model document of version MODEL_VERSION."""
+    """Decode a model document of version MODEL_VERSION; ReferenceSet checks its rules."""
     try:
         version = doc["version"]
         if version != MODEL_VERSION:
@@ -463,66 +514,23 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
         if type(rate) is not int or rate not in SUPPORTED_RATES:
             raise ParseError(f"sample_rate must be an int in {SUPPORTED_RATES}, got {rate!r}")
         cfg = FrameConfig.from_dict(doc["frame_config"])
-        threshold = doc["threshold"]
-        if type(threshold) not in (int, float) or not 0 <= threshold < math.inf:
-            raise ParseError(f"threshold must be finite and nonnegative, got {threshold!r}")
-        groups = doc["groups"]
-        if not (isinstance(groups, list) and all(type(g) is str and g for g in groups)):
-            raise ParseError(f"groups must be a list of non-empty strings, got {groups!r}")
-        if not groups:
-            raise ParseError("model has no groups")
-        repeated = sorted({g for g in groups if groups.count(g) > 1})
-        if repeated:
-            raise ParseError(f"groups {repeated} are listed more than once")
-        groups = tuple(groups)
-        cells = []
-        for cell in doc["cells"]:
-            prompt, group = cell["prompt"], cell["group"]
-            if type(prompt) is not int or type(group) is not int:
-                raise ParseError(f"cell prompt and group must be ints, got {prompt!r}, {group!r}")
-            where = f"cell (prompt {prompt}, group {group})"
-            if prompt < 0 or group not in range(len(groups)):
-                raise ParseError(f"{where} lies outside the model's {len(groups)} groups")
-            if any((c.prompt, c.group) == (prompt, group) for c in cells):
-                raise ParseError(f"{where} is listed twice")
-            mean = Triplet(*[float(x) for x in cell["mean"]])
-            ideals = tuple(
-                CellUtterance(
-                    speaker=item["speaker"],
-                    bundle=FeatureBundle(
-                        _array_from_json(item, "spectral", 2),
-                        _array_from_json(item, "pitch", 1),
-                        _array_from_json(item, "stress", 1),
-                        config=cfg,
-                        sample_rate=rate,
-                    ),
-                )
-                for item in cell["ideals"]
+        threshold, groups = doc["threshold"], doc["groups"]
+        cells = tuple(
+            ReferenceCell(
+                prompt=cell["prompt"],
+                group=cell["group"],
+                mean=Triplet(*[float(x) for x in cell["mean"]]),
+                variation=float(cell["variation"]),
+                ideals=tuple(_ideal_from_json(item, cfg, rate) for item in cell["ideals"]),
             )
-            if not ideals:
-                raise ParseError(f"{where} has no ideals")
-            cells.append(
-                ReferenceCell(
-                    prompt=prompt,
-                    group=group,
-                    mean=mean,
-                    variation=float(cell["variation"]),
-                    ideals=ideals,
-                )
-            )
-        # Prompt 0 is always covered, so a model without cells misses (0, g).
-        n_prompts = 1 + max((c.prompt for c in cells), default=0)
-        missing = _grid_holes({(c.prompt, c.group) for c in cells}, n_prompts, len(groups))
-        if missing:
-            raise ParseError(f"model is missing cells (prompt, group): {missing}")
-        return ReferenceSet(
-            config=cfg,
-            threshold=float(threshold),
-            groups=groups,
-            cells=tuple(cells),
+            for cell in doc["cells"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
+    try:
+        return ReferenceSet(config=cfg, threshold=threshold, groups=groups, cells=cells)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def save_reference_set(refs: ReferenceSet, path: str | Path) -> None:

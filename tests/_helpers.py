@@ -26,13 +26,18 @@ def make_bundle(rng, frames, ceps=3, voiced_prob=1.0, cfg=DEFAULT_CFG):
     )
 
 
-def fake_corpus_entries(groups, speakers_per_group, prompts):
-    """Manifest entries of a full groups x speakers x prompts grid; the clips do not exist."""
+def fake_corpus_entries(groups, speakers_per_group, prompts, skip=()):
+    """Manifest entries of a groups x speakers x prompts grid; the clips do not exist.
+
+    The (prompt, group) cells in skip are left out.
+    """
     entries = []
     for g in range(groups):
         for s in range(speakers_per_group):
             speaker = f"g{g}s{s:02d}"
             for w in range(prompts):
+                if (w, g) in skip:
+                    continue
                 entries.append(
                     ManifestEntry(
                         path=Path(f"/none/{speaker}_p{w:02d}.wav"),

@@ -22,7 +22,7 @@ from speechstyle import (
 from speechstyle.corpus import ManifestEntry
 from speechstyle.classify import ClassificationResult, GroupScore, triplet_components
 from speechstyle.errors import EmptyCell, EmptyResults
-from speechstyle.reference import CellUtterance
+from speechstyle.reference import CellUtterance, ReferenceCell, ReferenceSet, default_group_labels
 
 
 def test_scalarize_worked_example():
@@ -60,11 +60,11 @@ def test_argmin_is_stable_under_positive_scaling():
 def test_score_against_group_picks_min_scalar():
     rng = np.random.default_rng(42)
     test = make_bundle(rng, 12, ceps=5)
-    ideals = [(f"s{i}", make_bundle(rng, 12, ceps=5)) for i in range(4)]
+    ideals = [CellUtterance(f"s{i}", make_bundle(rng, 12, ceps=5)) for i in range(4)]
     score = score_against_group(test, ideals, group=2)
     from speechstyle import compute_triplet
 
-    scalars = {spk: scalarize(compute_triplet(test, fb)) for spk, fb in ideals}
+    scalars = {u.speaker: scalarize(compute_triplet(test, u.bundle)) for u in ideals}
     best = min(scalars.items(), key=lambda kv: (kv[1], kv[0]))
     assert score.group == 2
     assert score.ideal_used == best[0]
@@ -76,7 +76,7 @@ def test_score_against_group_tie_prefers_smaller_speaker_id():
     rng = np.random.default_rng(43)
     test = make_bundle(rng, 10, ceps=5)
     twin = make_bundle(rng, 10, ceps=5)
-    score = score_against_group(test, [("s9", twin), ("s1", twin)], group=0)
+    score = score_against_group(test, [CellUtterance("s9", twin), CellUtterance("s1", twin)], group=0)
     assert score.ideal_used == "s1"
 
 
@@ -86,25 +86,17 @@ def test_score_against_group_rejects_empty_cell():
         score_against_group(make_bundle(rng, 5), [], group=0)
 
 
-class _FakeRefs:
-    """Minimal reference-set stand-in for decision-rule tests."""
-
-    def __init__(self, cells):
-        self.cells_by_group = cells
-
-    @property
-    def n_groups(self):
-        return len(self.cells_by_group)
-
-    def has_prompt(self, prompt):
-        return prompt == 0
-
-    def ideals(self, prompt, group):
-        return self.cells_by_group[group]
+def _one_prompt_refs(ideals_by_group):
+    """A one-prompt reference set whose group g holds ideals_by_group[g]."""
+    cells = tuple(
+        ReferenceCell(0, g, Triplet(0.0, 1.0, 1.0), 0.0, tuple(ideals))
+        for g, ideals in enumerate(ideals_by_group)
+    )
+    return ReferenceSet(FrameConfig(), 0.15, default_group_labels(len(cells)), cells)
 
 
 def _refs_from_bundles(per_group):
-    return _FakeRefs([[(f"g{g}", fb)] for g, fb in enumerate(per_group)])
+    return _one_prompt_refs([[CellUtterance(f"g{g}", fb)] for g, fb in enumerate(per_group)])
 
 
 def test_dominant_group_wins():
@@ -134,11 +126,8 @@ def test_no_dominant_group_falls_back_to_argmin():
     t0 = Triplet(0.1, 0.2, 0.5)
     t1 = Triplet(0.4, 0.9, 0.9)
     recorded = [t0, t1]
-
-    class _Refs(_FakeRefs):
-        pass
-
-    refs = _Refs([[("a", None)], [("b", None)]])
+    rng = np.random.default_rng(48)
+    refs = _refs_from_bundles([make_bundle(rng, 5), make_bundle(rng, 5)])
 
     def fake_score(test, ideals, group, norm=NormKind.L2):
         t = recorded[group]
@@ -179,21 +168,24 @@ def test_one_group_model_is_dominant_with_zero_margin():
     assert (result.chosen, result.dominant, result.margin) == (0, True, 0.0)
 
 
-def test_unknown_prompt_rejected():
+@pytest.mark.parametrize("prompt", [3, 1, -1])
+def test_unknown_prompt_rejected(prompt):
     from speechstyle import classify_utterance
     from speechstyle.errors import UnknownPrompt
 
     rng = np.random.default_rng(47)
     refs = _refs_from_bundles([make_bundle(rng, 8)])
-    with pytest.raises(UnknownPrompt):
-        classify_utterance(make_bundle(rng, 8), 3, refs)
+    with pytest.raises(UnknownPrompt, match=f"^prompt {prompt} is not covered"):
+        classify_utterance(make_bundle(rng, 8), prompt, refs)
 
 
 def _random_cells(rng, groups):
     """Up to four ideals per group, with distinct speaker ids."""
     return [
         [
-            (f"s{g}-{k}", make_bundle(rng, int(rng.integers(3, 15)), ceps=5, voiced_prob=0.8))
+            CellUtterance(
+                f"s{g}-{k}", make_bundle(rng, int(rng.integers(3, 15)), ceps=5, voiced_prob=0.8)
+            )
             for k in range(int(rng.integers(1, 5)))
         ]
         for g in range(groups)
@@ -208,15 +200,15 @@ def test_classification_does_not_depend_on_ideal_order(seed, groups, random):
     permuted = [random.sample(cell, len(cell)) for cell in cells]
     test = make_bundle(rng, int(rng.integers(3, 15)), ceps=5, voiced_prob=0.8)
     for norm in NormKind:
-        expected = classify_utterance(test, 0, _FakeRefs(cells), norm)
-        assert classify_utterance(test, 0, _FakeRefs(permuted), norm) == expected
+        expected = classify_utterance(test, 0, _one_prompt_refs(cells), norm)
+        assert classify_utterance(test, 0, _one_prompt_refs(permuted), norm) == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.randoms(use_true_random=False))
 def test_classify_manifest_results_do_not_depend_on_entry_order(seed, n, random):
     rng = np.random.default_rng(seed)
-    refs = _FakeRefs(_random_cells(rng, 3))
+    refs = _one_prompt_refs(_random_cells(rng, 3))
     entries = [
         ManifestEntry(Path(f"u{i}.wav"), f"spk{i % 3}", 0, None, None, None) for i in range(n)
     ]

@@ -645,8 +645,7 @@ def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(
 @pytest.mark.parametrize("command", ["build-refs", "evaluate"])
 @pytest.mark.parametrize("hole", [(1, 2), (1, 4)], ids=["inner", "last-group-of-last-prompt"])
 def test_grid_holes_are_found_before_any_clip_is_read(capsys, tmp_path, monkeypatch, command, hole):
-    entries = [e for e in fake_corpus_entries(5, 3, 2) if (e.prompt, e.truth) != hole]
-    manifest = write_manifest(entries, tmp_path / "holed.csv")
+    manifest = write_manifest(fake_corpus_entries(5, 3, 2, skip={hole}), tmp_path / "holed.csv")
 
     def no_read(*args, **kwargs):
         raise AssertionError("a clip was read before the cell grid was checked")
@@ -655,7 +654,29 @@ def test_grid_holes_are_found_before_any_clip_is_read(capsys, tmp_path, monkeypa
     out_path = tmp_path / "out"
     code, out, err = _run(capsys, command, "--manifest", str(manifest), "--out", str(out_path))
     assert (code, out) == (2, "")
-    assert err == f"error: manifest is missing cells (prompt, group): {hole}\n"
+    assert err == f"error: {manifest}: manifest is missing cells (prompt, group): {hole}\n"
+    assert not out_path.exists()
+
+
+def test_classify_checks_prompts_before_any_clip_is_read(
+    cli_corpus, cli_model, capsys, tmp_path, monkeypatch
+):
+    entries = load_manifest(cli_corpus)
+    entries[2] = dataclasses.replace(entries[2], prompt=3)
+    manifest = write_manifest(entries, tmp_path / "prompt3.csv")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a clip was read before the prompts were checked")
+
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", no_read)
+    out_path = tmp_path / "out.csv"
+    argv = ["classify", "--model", str(cli_model), "--manifest", str(manifest), "--out", str(out_path)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {entries[2].path}: prompt 3 is not covered by model {cli_model},"
+        " which has 1 prompt(s)\n"
+    )
     assert not out_path.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import speechstyle
 from _helpers import fake_corpus_entries
 from speechstyle import (
     AgreementReport,
@@ -288,3 +290,16 @@ def test_evaluate_system_end_to_end(small_corpus):
     again = evaluate_system(manifest, FrameConfig(), threshold=0.15, seed=42)
     assert again.speaker_labels == evaluation.speaker_labels
     assert again.vs_expert1 == evaluation.vs_expert1
+
+
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+def test_evaluate_checks_the_threshold_before_any_clip_is_read(tmp_path, monkeypatch, threshold):
+    manifest = write_manifest(fake_corpus_entries(2, 3, 1), tmp_path / "manifest.csv")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a clip was read before the threshold was checked")
+
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", no_read)
+    message = f"^threshold must be finite and nonnegative, got {threshold!r}$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_system(manifest, FrameConfig(), threshold=threshold)

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import make_bundle, ordered_pair_scalar_std, quadruple_loop_average
+from _helpers import (
+    fake_corpus_entries,
+    make_bundle,
+    ordered_pair_scalar_std,
+    quadruple_loop_average,
+)
 from speechstyle import (
     AudioClip,
     FeatureBundle,
@@ -46,6 +51,7 @@ from speechstyle.reference import (
     ReferenceCell,
     ReferenceSet,
     build_corpus_index,
+    check_threshold,
     default_group_labels,
     ingest_clip,
     reference_set_from_dict,
@@ -213,24 +219,96 @@ def test_negative_threshold_rejected(threshold):
         build_reference_set([], FrameConfig(), threshold=threshold)
 
 
-def _fake_entries(prompts, groups, skip=()):
-    entries = []
-    for w in range(prompts):
-        for g in range(groups):
-            if (w, g) in skip:
-                continue
-            for s in range(2):
-                entries.append(
-                    ManifestEntry(
-                        path=Path(f"/none/w{w}g{g}s{s}.wav"),
-                        speaker=f"g{g}s{s}",
-                        prompt=w,
-                        expert1=g,
-                        expert2=g,
-                        truth=g,
-                    )
-                )
-    return entries
+def _grid_cells(prompts=2, groups=2):
+    """Valid cells of a prompts x groups grid, one ideal each, in (prompt, group) order."""
+    rng = np.random.default_rng(90)
+    return [
+        ReferenceCell(
+            w, g, Triplet(0.0, 1.0, 1.0), 0.0, (CellUtterance(f"s{w}{g}", make_bundle(rng, 4)),)
+        )
+        for w in range(prompts)
+        for g in range(groups)
+    ]
+
+
+@pytest.mark.parametrize("threshold", [0, 0.0, 0.15, np.float64(0.5), np.float32(0.25)])
+def test_threshold_rule_accepts_finite_nonnegative_reals(threshold):
+    check_threshold(threshold)
+    refs = ReferenceSet(FrameConfig(), threshold, ("group0", "group1"), tuple(_grid_cells()))
+    assert type(refs.threshold) is float and refs.threshold == threshold
+
+
+@pytest.mark.parametrize("threshold", [True, False, "0.15", None, -1])
+def test_threshold_rule_rejects_bools_strings_and_out_of_range_values(threshold):
+    message = f"^threshold must be finite and nonnegative, got {re.escape(repr(threshold))}$"
+    with pytest.raises(ValueError, match=message):
+        check_threshold(threshold)
+
+
+def _replace_cell(k, **changes):
+    def change(parts):
+        parts["cells"][k] = dataclasses.replace(parts["cells"][k], **changes)
+
+    return change
+
+
+def _non_string_speaker(parts):
+    bundle = parts["cells"][0].ideals[0].bundle
+    _replace_cell(0, ideals=(CellUtterance(5, bundle),))(parts)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (lambda parts: parts["cells"].pop(1), r"^model is missing cells \(prompt, group\): \(0, 1\)$"),
+        (lambda parts: parts["cells"].clear(), r"^model is missing cells \(prompt, group\): \(0, 0\), \(0, 1\)$"),
+        (lambda parts: parts["cells"].append(parts["cells"][2]), r"^cell \(prompt 1, group 0\) is listed twice$"),
+        (_replace_cell(3, ideals=()), r"^cell \(prompt 1, group 1\) has no ideals$"),
+        (_replace_cell(1, group=2), r"^cell \(prompt 0, group 2\) lies outside the model's 2 groups$"),
+        (_replace_cell(0, prompt=-1), r"^cell \(prompt -1, group 0\) lies outside"),
+        (_replace_cell(2, prompt=1.0), r"^cell prompt and group must be ints, got 1\.0, 0$"),
+        (_non_string_speaker, r"^cell \(prompt 0, group 0\): ideal speaker must be a non-empty string, got 5$"),
+        (lambda parts: parts.update(threshold=-1.0), r"^threshold must be finite and nonnegative, got -1\.0$"),
+        (lambda parts: parts.update(groups=()), "^model has no groups$"),
+        (lambda parts: parts.update(groups=("a", "a")), r"^groups \['a'\] are listed more than once$"),
+        (lambda parts: parts.update(groups=("a", "")), "^groups must be a list of non-empty strings"),
+    ],
+    ids=[
+        "hole",
+        "no-cells",
+        "duplicate",
+        "empty-cell",
+        "group-out-of-range",
+        "negative-prompt",
+        "float-prompt",
+        "non-string-speaker",
+        "negative-threshold",
+        "no-groups",
+        "repeated-group",
+        "empty-group-name",
+    ],
+)
+def test_reference_set_built_in_code_checks_every_rule(change, match):
+    parts = dict(
+        config=FrameConfig(), threshold=0.15, groups=("group0", "group1"), cells=_grid_cells()
+    )
+    change(parts)
+    with pytest.raises(ValueError, match=match):
+        ReferenceSet(**{**parts, "cells": tuple(parts["cells"])})
+
+
+def test_reference_set_keeps_cells_in_grid_order_and_looks_them_up_by_position():
+    cells = _grid_cells(prompts=3, groups=2)
+    refs = ReferenceSet(FrameConfig(), 0, ["group0", "group1"], tuple(reversed(cells)))
+    assert refs.cells == tuple(cells)
+    assert refs.groups == ("group0", "group1")
+    assert (refs.n_prompts, refs.n_groups) == (3, 2)
+    for w in range(3):
+        for g in range(2):
+            assert refs.cell(w, g) is cells[2 * w + g]
+    for w, g in [(3, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(MissingCell, match=f"^model has no cell for prompt {w}, group {g}$"):
+            refs.cell(w, g)
 
 
 def _fake_bundles(entries, rng):
@@ -239,7 +317,7 @@ def _fake_bundles(entries, rng):
 
 def test_build_corpus_index_shapes_cells():
     rng = np.random.default_rng(77)
-    entries = _fake_entries(2, 3)
+    entries = fake_corpus_entries(3, 2, 2)
     index = build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
     assert index.groups == ("group0", "group1", "group2")
     assert set(index.cells) == {(w, g) for w in range(2) for g in range(3)}
@@ -248,7 +326,7 @@ def test_build_corpus_index_shapes_cells():
 
 def test_build_corpus_index_rejects_bundles_of_another_frame_config():
     rng = np.random.default_rng(80)
-    entries = _fake_entries(1, 2)
+    entries = fake_corpus_entries(2, 2, 1)
     bundles = _fake_bundles(entries, rng)
     other = entries[-1].path
     bundles[other] = dataclasses.replace(bundles[other], config=FrameConfig(hop_ms=5.0))
@@ -258,7 +336,7 @@ def test_build_corpus_index_rejects_bundles_of_another_frame_config():
 
 def test_build_corpus_index_reports_missing_cells():
     rng = np.random.default_rng(78)
-    entries = _fake_entries(2, 2, skip={(1, 1)})
+    entries = fake_corpus_entries(2, 2, 2, skip={(1, 1)})
     with pytest.raises(MissingCell, match=r"\(1, 1\)"):
         build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
 
@@ -273,7 +351,7 @@ def test_build_corpus_index_requires_some_label():
 
 def test_truth_label_outranks_expert_label():
     rng = np.random.default_rng(79)
-    entries = _fake_entries(1, 2)
+    entries = fake_corpus_entries(2, 2, 1)
     # flip one speaker's expert opinion; truth must still place them
     moved = entries[0]
     entries[0] = ManifestEntry(
@@ -313,10 +391,12 @@ def test_build_reference_set_from_corpus(tiny_corpus):
     refs = build_reference_set(entries, FrameConfig(), threshold=0.15)
     assert refs.groups == ("group0", "group1")
     assert refs.n_groups == 2
-    assert refs.has_prompt(0) and refs.has_prompt(1)
-    assert not refs.has_prompt(cfg.prompts)
+    assert refs.n_prompts == cfg.prompts
     with pytest.raises(MissingCell, match=f"model has no cell for prompt {cfg.prompts}, group 0"):
         refs.cell(cfg.prompts, 0)
+    for w in range(cfg.prompts):
+        for g in range(cfg.groups):
+            assert (refs.cell(w, g).prompt, refs.cell(w, g).group) == (w, g)
     assert refs.sample_rate == cfg.sample_rate
     assert len(refs.cells) == cfg.prompts * cfg.groups
     speakers = {e.speaker for e in entries}
@@ -461,21 +541,22 @@ _TRACK_VALUES = st.floats(width=64) | st.sampled_from(
 
 
 @st.composite
-def _odd_bundles(draw):
+def _odd_bundles(draw, cfg):
     n = draw(st.integers(1, 200))
-    ceps = draw(st.sampled_from([1, 13]))
     return FeatureBundle(
-        spectral=draw(arrays(np.float64, (n, ceps), elements=_TRACK_VALUES)),
+        spectral=draw(arrays(np.float64, (n, cfg.n_ceps), elements=_TRACK_VALUES)),
         pitch=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
         stress=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
-        config=FrameConfig(),
+        config=cfg,
         sample_rate=16000,
     )
 
 
 @settings(max_examples=150, deadline=None)
-@given(bundles=st.lists(_odd_bundles(), min_size=1, max_size=3))
-def test_version_3_round_trips_any_float64_bit_for_bit(bundles):
+@given(data=st.data(), n_ceps=st.sampled_from([1, 13]))
+def test_version_3_round_trips_any_float64_bit_for_bit(data, n_ceps):
+    cfg = FrameConfig(n_ceps=n_ceps)
+    bundles = data.draw(st.lists(_odd_bundles(cfg), min_size=1, max_size=3))
     cell = ReferenceCell(
         prompt=0,
         group=0,
@@ -483,7 +564,7 @@ def test_version_3_round_trips_any_float64_bit_for_bit(bundles):
         variation=0.125,
         ideals=tuple(CellUtterance(f"s{k}", b) for k, b in enumerate(bundles)),
     )
-    refs = ReferenceSet(config=FrameConfig(), threshold=0.15, groups=("group0",), cells=(cell,))
+    refs = ReferenceSet(config=cfg, threshold=0.15, groups=("group0",), cells=(cell,))
     loaded = reference_set_from_dict(json.loads(json.dumps(reference_set_to_dict(refs))))
     _assert_same_tracks(loaded, refs)
     for ideal in loaded.cells[0].ideals:
@@ -497,6 +578,21 @@ def _break_stress(change):
         change(doc["cells"][0]["ideals"][0]["stress"])
 
     return mutate
+
+
+def _first_ideal(change):
+    def mutate(doc):
+        change(doc["cells"][0]["ideals"][0])
+
+    return mutate
+
+
+def _narrow_spectral(ideal, columns=5):
+    """Keep only the first columns of an ideal's spectral track, re-encoded."""
+    track = ideal["spectral"]
+    values = np.frombuffer(base64.b64decode(track["float64le"]), "<f8").reshape(track["shape"])
+    narrow = np.ascontiguousarray(values[:, :columns])
+    track.update(shape=list(narrow.shape), float64le=base64.b64encode(narrow.tobytes()).decode())
 
 
 @pytest.mark.parametrize(
@@ -540,6 +636,14 @@ def _break_stress(change):
         (lambda doc: doc["frame_config"].update(n_ceps=13.0), r"n_ceps must be int, got 13\.0"),
         (lambda doc: doc["frame_config"].update(window_ms=math.nan), "window_ms must be finite, got nan"),
         (lambda doc: doc["frame_config"].update(no_such_knob=1), "unknown field 'no_such_knob'"),
+        (lambda doc: doc.update(threshold=True), "threshold must be finite and nonnegative, got True"),
+        (_first_ideal(lambda i: i.update(speaker=5)), r"ideal speaker must be a non-empty string, got 5$"),
+        (_first_ideal(lambda i: i.update(speaker=["x"])), r"non-empty string, got \['x'\]$"),
+        (_first_ideal(lambda i: i.update(speaker="")), r"\(prompt 0, group 0\): ideal speaker .*, got ''$"),
+        (
+            _first_ideal(_narrow_spectral),
+            r"spectral of ideal '.+': 5 coefficients per frame, but frame_config has n_ceps 13$",
+        ),
     ],
 )
 def test_model_load_errors_name_the_model_path(tiny_corpus, tmp_path, mutate, match):
