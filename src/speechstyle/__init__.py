@@ -38,7 +38,6 @@ from .features import (
 from .metric import AlignmentPath, Triplet, compute_triplet, dtw_align
 from .reference import (
     CellAverage,
-    CorpusIndex,
     ReferenceSet,
     build_corpus_index,
     build_reference_set,

@@ -55,7 +55,8 @@ def _read_csv(path: str | Path, header: tuple[str, ...], parse_row: Callable) ->
     """parse_row(line, row) of every non-blank row after a first row that must equal header.
 
     Every row must have one field per header column. Every ParseError
-    and RankOutOfRange names the file and, through parse_row, the line.
+    and RankOutOfRange names the file and, through parse_row, the line;
+    text that does not decode raises a ParseError naming the file.
     """
     try:
         with open(path, newline="") as handle:
@@ -78,6 +79,8 @@ def _read_csv(path: str | Path, header: tuple[str, ...], parse_row: Callable) ->
             return parsed
     except (ParseError, RankOutOfRange) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:

@@ -185,12 +185,13 @@ def evaluate_system(
 ) -> SystemEvaluation:
     """Run the full protocol on a doubly expert-labeled corpus.
 
-    The corpus is split by speaker, references are built from the
-    two-thirds side, every test utterance is classified, utterances are
-    aggregated per speaker by majority vote, and the speaker ranks are
-    compared against both experts and between the experts themselves.
-    The threshold, the reference side's cell grid and both expert
-    columns, ranks included, are checked before any clip is read.
+    The corpus is split by speaker; build-refs is run on the two-thirds
+    side and classify on the rest, whose clips are read after the
+    reference side's. Utterances are aggregated per speaker by majority
+    vote, and the speaker ranks are compared against both experts and
+    between the experts themselves. The threshold, the reference side's
+    cell grid and both expert columns, ranks included, are checked
+    before any clip is read.
     """
     check_threshold(threshold)
     entries = load_manifest(manifest)
@@ -201,8 +202,8 @@ def evaluate_system(
         raise MissingCell(f"{manifest}: {exc}") from exc
     expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
     expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
-    bundles = ingest_manifest(entries, cfg)
-    refs = build_reference_set(ref_entries, cfg, threshold, norm, bundles=bundles)
+    refs = build_reference_set(ref_entries, cfg, threshold, norm)
+    bundles = ingest_manifest(test_entries, refs.config, refs.sample_rate)
     ordered = sorted(test_entries, key=lambda e: (e.speaker, e.prompt))
     results, by_speaker = classify_manifest(ordered, bundles, refs, norm)
     outcomes = tuple(UtteranceOutcome(e.speaker, e.prompt, r) for e, r in zip(ordered, results))

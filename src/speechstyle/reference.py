@@ -11,21 +11,14 @@ import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .audio import SUPPORTED_RATES, read_wav, strip_silence
 from .classify import NormKind, scalarize
 from .corpus import ManifestEntry, entry_group
-from .errors import (
-    ConfigMismatch,
-    EmptyCell,
-    MissingCell,
-    ParseError,
-    RateMismatch,
-    SpeechStyleError,
-)
+from .errors import EmptyCell, MissingCell, ParseError, RateMismatch, SpeechStyleError
 from .features import FeatureBundle, FrameConfig, extract_features
 from .metric import Triplet, compute_triplet
 
@@ -40,15 +33,6 @@ _ARRAY_DATA = "float64le"
 class CellUtterance:
     speaker: str
     bundle: FeatureBundle
-
-
-@dataclass(frozen=True)
-class CorpusIndex:
-    """Extracted features of a labeled corpus, addressed by (prompt, group)."""
-
-    groups: tuple[str, ...]
-    cells: dict[tuple[int, int], tuple[CellUtterance, ...]]
-    config: FrameConfig
 
 
 @dataclass(frozen=True)
@@ -83,7 +67,8 @@ class ReferenceSet:
 
     Construction raises ValueError for a set that breaks a rule of
     __post_init__, and keeps the cells in (prompt, group) order, so cell
-    (p, g) sits at position p * n_groups + g.
+    (p, g) sits at position p * n_groups + g. Every ideal was extracted
+    under config, and all ideals share one sample rate.
     """
 
     config: FrameConfig
@@ -101,6 +86,7 @@ class ReferenceSet:
         repeated = sorted({g for g in groups if groups.count(g) > 1})
         if repeated:
             raise ValueError(f"groups {repeated} are listed more than once")
+        rates = set()
         for c in self.cells:
             if type(c.prompt) is not int or type(c.group) is not int:
                 raise ValueError(
@@ -116,6 +102,11 @@ class ReferenceSet:
                     raise ValueError(
                         f"{where}: ideal speaker must be a non-empty string, got {u.speaker!r}"
                     )
+                if u.bundle.config != self.config:
+                    raise ValueError(f"{where}: ideal {u.speaker!r} has another frame config")
+                rates.add(u.bundle.sample_rate)
+        if len(rates) > 1:
+            raise ValueError(f"ideals mix sample rates {sorted(rates)}")
         cells = tuple(sorted(self.cells, key=lambda c: (c.prompt, c.group)))
         keys = [(c.prompt, c.group) for c in cells]
         for key, after in zip(keys, keys[1:]):
@@ -141,7 +132,7 @@ class ReferenceSet:
 
     @property
     def sample_rate(self) -> int:
-        """Rate of the ideals' clips; every cell has an ideal."""
+        """Rate of every ideal's clip; every cell has an ideal."""
         return self.cells[0].ideals[0].bundle.sample_rate
 
     def cell(self, prompt: int, group: int) -> ReferenceCell:
@@ -271,26 +262,30 @@ def _select_cell_ideals(
 
 
 def select_ideals(
-    index: CorpusIndex,
+    cells: Mapping[tuple[int, int], Sequence[CellUtterance]],
     threshold: float,
     norm: NormKind = NormKind.L2,
 ) -> ReferenceSet:
-    """Average every cell of an indexed corpus and choose its ideals.
+    """Average every (prompt, group) cell and choose its ideals.
 
     A cell whose variation stays within the threshold is summarized by
     its single medoid. A more scattered cell is covered greedily: the
     medoid of the still-uncovered utterances is added until everyone
     lies within the threshold of some chosen ideal, so in the worst
-    case every utterance of the cell becomes an ideal.
+    case every utterance of the cell becomes an ideal. The set takes
+    the frame config of the utterances' bundles and names its groups
+    with default_group_labels.
     """
     check_threshold(threshold)  # below zero, the cover never ends
-    keys = sorted(index.cells)
-    utterances = [index.cells[key] for key in keys]
-    cells = []
+    if not cells:
+        raise MissingCell("no cells to select ideals from")
+    keys = sorted(cells)
+    utterances = [cells[key] for key in keys]
+    chosen = []
     for (prompt, group), cell, pairs in zip(keys, utterances, _pair_tables(utterances)):
         avg, scalars = _cell_statistics(pairs, norm)
         picks = _select_cell_ideals(cell, scalars, avg.variation, threshold)
-        cells.append(
+        chosen.append(
             ReferenceCell(
                 prompt=prompt,
                 group=group,
@@ -299,11 +294,12 @@ def select_ideals(
                 ideals=tuple(cell[k] for k in picks),
             )
         )
+    # _pair_tables has raised EmptyCell for an empty cell, so every cell has a first utterance.
     return ReferenceSet(
-        config=index.config,
+        config=utterances[0][0].bundle.config,
         threshold=threshold,
-        groups=index.groups,
-        cells=tuple(cells),
+        groups=default_group_labels(1 + max(g for _, g in keys)),
+        cells=tuple(chosen),
     )
 
 
@@ -379,32 +375,21 @@ def label_grid(entries: Sequence[ManifestEntry]) -> int:
 
 
 def build_corpus_index(
-    entries: Sequence[ManifestEntry],
-    cfg: FrameConfig,
-    bundles: dict[Path, FeatureBundle] | None = None,
-) -> CorpusIndex:
-    """Extract features for labeled entries and group them into cells.
+    entries: Sequence[ManifestEntry], cfg: FrameConfig
+) -> dict[tuple[int, int], tuple[CellUtterance, ...]]:
+    """Ingest labeled entries and group them into (prompt, group) cells, in key order.
 
     The labels and the cell grid are checked by label_grid before any
-    clip is read; bundles, when given, must hold every entry's path,
-    extracted under cfg or else ConfigMismatch.
+    clip is read; the clips are read by ingest_manifest.
     """
-    n_groups = label_grid(entries)
-    if bundles is None:
-        bundles = ingest_manifest(entries, cfg)
+    label_grid(entries)
+    bundles = ingest_manifest(entries, cfg)
     cells: dict[tuple[int, int], list[CellUtterance]] = {}
     for entry in entries:
-        bundle = bundles[entry.path]
-        if bundle.config != cfg:
-            raise ConfigMismatch(f"{entry.path}: features come from another frame config")
         cells.setdefault((entry.prompt, entry_group(entry)), []).append(
-            CellUtterance(speaker=entry.speaker, bundle=bundle)
+            CellUtterance(speaker=entry.speaker, bundle=bundles[entry.path])
         )
-    return CorpusIndex(
-        groups=default_group_labels(n_groups),
-        cells={key: tuple(val) for key, val in sorted(cells.items())},
-        config=cfg,
-    )
+    return {key: tuple(val) for key, val in sorted(cells.items())}
 
 
 def build_reference_set(
@@ -412,14 +397,13 @@ def build_reference_set(
     cfg: FrameConfig,
     threshold: float,
     norm: NormKind = NormKind.L2,
-    bundles: dict[Path, FeatureBundle] | None = None,
 ) -> ReferenceSet:
     """End-to-end reference build from manifest entries.
 
     A threshold that fails check_threshold is rejected before any clip is read.
     """
     check_threshold(threshold)
-    return select_ideals(build_corpus_index(entries, cfg, bundles), threshold, norm)
+    return select_ideals(build_corpus_index(entries, cfg), threshold, norm)
 
 
 def _array_to_json(values: np.ndarray) -> dict:
@@ -555,6 +539,8 @@ def load_reference_set(path: str | Path) -> ReferenceSet:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     try:
         return reference_set_from_dict(doc)
     except ParseError as exc:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from _helpers import make_bundle
 from speechstyle import (
-    CorpusIndex,
     FrameConfig,
     NormKind,
     Triplet,
@@ -162,8 +161,7 @@ def test_single_group_is_vacuously_dominant():
 def test_one_group_model_is_dominant_with_zero_margin():
     rng = np.random.default_rng(47)
     cell = tuple(CellUtterance(f"s{k}", make_bundle(rng, 10, ceps=5)) for k in range(3))
-    index = CorpusIndex(groups=("group0",), cells={(0, 0): cell}, config=FrameConfig())
-    refs = select_ideals(index, threshold=0.15)
+    refs = select_ideals({(0, 0): cell}, threshold=0.15)
     result = classify_utterance(make_bundle(rng, 10, ceps=5), 0, refs)
     assert (result.chosen, result.dominant, result.margin) == (0, True, 0.0)
 

@@ -13,7 +13,7 @@ import pytest
 
 import speechstyle
 from _helpers import fake_corpus_entries, write_float_wav
-from speechstyle import SynthConfig, load_manifest, load_reference_set, write_manifest
+from speechstyle import SynthConfig, load_manifest, load_reference_set, split_corpus, write_manifest
 from speechstyle.cli import build_parser, main
 from speechstyle.corpus import load_labels
 
@@ -627,10 +627,10 @@ def test_evaluate_rejects_an_expert_rank_beyond_the_model_groups(
     bumped = write_manifest(entries, tmp_path / "bumped.csv")
     report = tmp_path / "report.json"
 
-    def no_ingest(*args, **kwargs):
+    def no_read(*args, **kwargs):
         raise AssertionError("a clip was read before the expert ranks were checked")
 
-    monkeypatch.setattr(speechstyle.evaluate, "ingest_manifest", no_ingest)
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", no_read)
     code, out, err = _run(capsys, "evaluate", "--manifest", str(bumped), "--out", str(report))
     assert code == 2
     assert re.search(
@@ -695,17 +695,23 @@ def test_evaluate_names_a_clip_at_an_unsupported_rate(small_corpus, capsys, tmp_
     assert "sample rate 11025" in err
 
 
-def test_evaluate_reports_the_same_first_bad_clip_at_any_worker_count(
-    small_corpus, capsys, tmp_path, monkeypatch
+def _evaluate_with_an_odd_rate_and_a_silent_clip(
+    small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at, silent_at
 ):
+    """evaluate's error at one and at two workers, which must agree, and the odd-rate clip.
+
+    Entries 0-3 and 8 of the small corpus belong to reference speakers, 4-7 to test speakers.
+    """
     odd_rate = tmp_path / "odd_rate.wav"
     speechstyle.write_wav(odd_rate, speechstyle.AudioClip(np.full(4000, 0.5), 8000))
     silent = tmp_path / "silent.wav"
     speechstyle.write_wav(silent, speechstyle.AudioClip(np.zeros(8000), 16000))
     _, manifest = small_corpus
     entries = load_manifest(manifest)
-    entries[3] = dataclasses.replace(entries[3], path=odd_rate)
-    entries[7] = dataclasses.replace(entries[7], path=silent)
+    _, test_entries = split_corpus(entries, seed=42)
+    assert [k for k in (0, 1, 2, 3, 4, 5, 6, 7, 8) if entries[k] in test_entries] == [4, 5, 6, 7]
+    entries[odd_rate_at] = dataclasses.replace(entries[odd_rate_at], path=odd_rate)
+    entries[silent_at] = dataclasses.replace(entries[silent_at], path=silent)
     swapped = write_manifest(entries, tmp_path / "swapped.csv")
     errors = []
     for workers in (1, 2):
@@ -714,4 +720,54 @@ def test_evaluate_reports_the_same_first_bad_clip_at_any_worker_count(
         assert (code, stdout) == (2, "")
         errors.append(err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith(f"error: {odd_rate}: sample rate 8000 differs")
+    return errors[0], odd_rate
+
+
+def test_evaluate_reports_the_same_first_bad_clip_at_any_worker_count(
+    small_corpus, capsys, tmp_path, monkeypatch
+):
+    err, odd_rate = _evaluate_with_an_odd_rate_and_a_silent_clip(
+        small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at=3, silent_at=7
+    )
+    assert err.startswith(f"error: {odd_rate}: sample rate 8000 differs")
+
+
+def test_evaluate_reports_a_bad_reference_clip_before_an_earlier_bad_test_clip(
+    small_corpus, capsys, tmp_path, monkeypatch
+):
+    err, odd_rate = _evaluate_with_an_odd_rate_and_a_silent_clip(
+        small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at=8, silent_at=4
+    )
+    assert err == f"error: {odd_rate}: sample rate 8000 differs from corpus rate 16000\n"
+
+
+def _manifest_with_byte_ff(cli_corpus, tmp_path):
+    bad = tmp_path / "manifest.csv"
+    bad.write_bytes(cli_corpus.read_bytes().replace(b"g0s00", b"g0s\xff0", 1))
+    return bad, ["build-refs", "--manifest", str(bad), "--out", str(tmp_path / "out.json")]
+
+
+def _model_of_binary_bytes(cli_corpus, tmp_path):
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(bytes(range(256)))
+    argv = ["--model", str(bad), "--manifest", str(cli_corpus), "--out", str(tmp_path / "out.csv")]
+    return bad, ["classify", *argv]
+
+
+def _labels_with_byte_ff(cli_corpus, tmp_path):
+    bad = tmp_path / "labels.csv"
+    bad.write_bytes(b"subject,rank\nx\xff,0\n")
+    good = _label_file(tmp_path, "good.csv", [("x", 0)])
+    return bad, ["agreement", "--a", str(bad), "--b", str(good)]
+
+
+@pytest.mark.parametrize("bad_input", [_model_of_binary_bytes, _manifest_with_byte_ff, _labels_with_byte_ff])
+def test_a_file_that_is_not_utf8_is_named_in_the_error(cli_corpus, capsys, tmp_path, bad_input):
+    bad, argv = bad_input(cli_corpus, tmp_path)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        rf"error: {re.escape(str(bad))}: 'utf-8' codec can't decode byte 0x\w\w in position \d+: .*\n",
+        err,
+    ), err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.csv").exists()

@@ -1,5 +1,6 @@
 """Work counts and ordering of the shared ingest / reference / classify path."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -29,7 +30,7 @@ from speechstyle import (
 )
 from speechstyle.corpus import ManifestEntry
 from speechstyle.errors import ClipTooShort, MissingLabel, RateMismatch
-from speechstyle.reference import CellUtterance, CorpusIndex
+from speechstyle.reference import CellUtterance
 
 
 @pytest.fixture
@@ -58,8 +59,7 @@ def test_select_ideals_scores_each_pair_once(threshold, triplet_calls):
     rng = np.random.default_rng(90)
     n = 5
     cell = tuple(CellUtterance(speaker=f"s{k}", bundle=make_bundle(rng, 10, 4)) for k in range(n))
-    index = CorpusIndex(groups=("group0",), cells={(0, 0): cell}, config=FrameConfig())
-    select_ideals(index, threshold)
+    select_ideals({(0, 0): cell}, threshold)
     assert len(triplet_calls) == n * (n - 1) // 2
 
 
@@ -131,12 +131,12 @@ def test_ingest_manifest_is_bit_identical_at_any_worker_count(small_corpus, work
 def test_select_ideals_is_identical_at_any_worker_count(small_corpus, workers, tmp_path, threshold):
     _, manifest = small_corpus
     entries = load_manifest(manifest)
-    index = reference.build_corpus_index(entries, FrameConfig())
-    pairs = sum(len(c) * (len(c) - 1) // 2 for c in index.cells.values())
+    cells = reference.build_corpus_index(entries, FrameConfig())
+    pairs = sum(len(c) * (len(c) - 1) // 2 for c in cells.values())
     models = []
     for count in _worker_counts(pairs):
         workers(count)
-        refs = select_ideals(index, threshold)
+        refs = select_ideals(cells, threshold)
         path = tmp_path / f"model-{count}.json"
         save_reference_set(refs, path)
         models.append((refs, path.read_bytes()))
@@ -173,13 +173,30 @@ def test_ingest_raises_for_the_first_bad_clip_in_manifest_order(
         ingest_manifest(entries, FrameConfig())
 
 
+def _perfbench_wrap_targets(perfbench):
+    """The `layer.fn` names that run.py's traced jobs must find to wrap, as _check_trace picks them.
+
+    run.py is parsed, not run: importing it would set BLAS thread counts in this process.
+    """
+    tree = ast.parse((perfbench / "run.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYER_TABLE" for t in node.targets)
+    ]
+    return {name.rsplit(".", 1)[0] for name in ast.literal_eval(table) if name.count(".") == 2}
+
+
 def test_perfbench_span_names_are_public_functions_of_their_layers():
-    """perfbench keys its work counts on `layer.fn` span names; a move or rename breaks them."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    """perfbench counts work by `layer.fn` span names and wraps run.py's; a move or rename breaks them."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", perfbench / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for name in spans.INFO:
+    targets = _perfbench_wrap_targets(perfbench)
+    assert targets
+    for name in sorted({*spans.INFO, *targets}):
         layer, fn = name.split(".")
         module = importlib.import_module(f"speechstyle.{layer}")
         value = getattr(module, fn, None)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import speechstyle.reference
 from _helpers import (
     fake_corpus_entries,
     make_bundle,
@@ -36,7 +37,6 @@ from speechstyle import (
     write_wav,
 )
 from speechstyle.errors import (
-    ConfigMismatch,
     EmptyCell,
     MissingCell,
     MissingLabel,
@@ -47,7 +47,6 @@ from speechstyle.corpus import ManifestEntry
 from speechstyle.metric import Triplet
 from speechstyle.reference import (
     CellUtterance,
-    CorpusIndex,
     ReferenceCell,
     ReferenceSet,
     build_corpus_index,
@@ -61,14 +60,6 @@ from speechstyle.reference import (
 
 def _cell(rng, n, frames=10, ceps=4):
     return [CellUtterance(speaker=f"s{k}", bundle=make_bundle(rng, frames, ceps)) for k in range(n)]
-
-
-def _single_cell_index(cell):
-    return CorpusIndex(
-        groups=("group0",),
-        cells={(0, 0): tuple(cell)},
-        config=FrameConfig(),
-    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -115,8 +106,7 @@ def test_cell_average_rejects_empty_cell():
 def test_single_medoid_matches_exhaustive_search(seed, n):
     rng = np.random.default_rng(seed)
     cell = _cell(rng, n)
-    index = _single_cell_index(cell)
-    refs = select_ideals(index, threshold=1e9)
+    refs = select_ideals({(0, 0): cell}, threshold=1e9)
     picked = refs.cell(0, 0).ideals
     assert len(picked) == 1
 
@@ -135,7 +125,7 @@ def test_medoid_tie_prefers_smallest_speaker_id():
     rng = np.random.default_rng(68)
     bundle = make_bundle(rng, 8)
     cell = [CellUtterance(speaker=s, bundle=bundle) for s in ("s2", "s0", "s1")]
-    refs = select_ideals(_single_cell_index(cell), 0.5)
+    refs = select_ideals({(0, 0): cell}, 0.5)
     assert [u.speaker for u in refs.cell(0, 0).ideals] == ["s0"]
 
 
@@ -144,7 +134,7 @@ def test_zero_threshold_keeps_every_distinct_utterance():
     cell = _cell(rng, 4)
     avg = compute_cell_average(cell)
     assert avg.variation > 0.0
-    refs = select_ideals(_single_cell_index(cell), threshold=0.0)
+    refs = select_ideals({(0, 0): cell}, threshold=0.0)
     assert sorted(u.speaker for u in refs.cell(0, 0).ideals) == [u.speaker for u in cell]
 
 
@@ -178,7 +168,7 @@ def test_two_cluster_cell_selects_one_ideal_per_cluster():
     threshold = intra_max + 0.25 * (inter_min - intra_max)
     avg = compute_cell_average(cell)
     assert avg.variation > threshold
-    refs = select_ideals(_single_cell_index(cell), threshold)
+    refs = select_ideals({(0, 0): cell}, threshold)
     picked = refs.cell(0, 0).ideals
     assert len(picked) == 2
     sides = {int(u.speaker[1]) < 3 for u in picked}
@@ -197,7 +187,7 @@ def test_greedy_selection_covers_everyone():
         cell = _cell(rng, 5, frames=8)
         avg = compute_cell_average(cell)
         threshold = avg.variation * 0.5
-        refs = select_ideals(_single_cell_index(cell), threshold)
+        refs = select_ideals({(0, 0): cell}, threshold)
         picked = refs.cell(0, 0).ideals
         names = [u.speaker for u in picked]
         assert len(set(names)) == len(names)
@@ -214,9 +204,19 @@ def test_negative_threshold_rejected(threshold):
     cell = _cell(rng, 2)
     message = "threshold must be finite and nonnegative"
     with pytest.raises(ValueError, match=message):
-        select_ideals(_single_cell_index(cell), threshold)
+        select_ideals({(0, 0): cell}, threshold)
     with pytest.raises(ValueError, match=message):
         build_reference_set([], FrameConfig(), threshold=threshold)
+
+
+@pytest.mark.parametrize(
+    "cells, error, match",
+    [({}, MissingCell, "^no cells to select ideals from$"), ({(0, 0): ()}, EmptyCell, "empty cell")],
+    ids=["no-cells", "empty-cell"],
+)
+def test_select_ideals_rejects_a_mapping_without_utterances(cells, error, match):
+    with pytest.raises(error, match=match):
+        select_ideals(cells, 0.15)
 
 
 def _grid_cells(prompts=2, groups=2):
@@ -257,6 +257,17 @@ def _non_string_speaker(parts):
     _replace_cell(0, ideals=(CellUtterance(5, bundle),))(parts)
 
 
+def _replace_bundle(k, **changes):
+    """Change the bundle of cell k's ideal."""
+
+    def change(parts):
+        ideal = parts["cells"][k].ideals[0]
+        bundle = dataclasses.replace(ideal.bundle, **changes)
+        _replace_cell(k, ideals=(CellUtterance(ideal.speaker, bundle),))(parts)
+
+    return change
+
+
 @pytest.mark.parametrize(
     "change, match",
     [
@@ -272,6 +283,15 @@ def _non_string_speaker(parts):
         (lambda parts: parts.update(groups=()), "^model has no groups$"),
         (lambda parts: parts.update(groups=("a", "a")), r"^groups \['a'\] are listed more than once$"),
         (lambda parts: parts.update(groups=("a", "")), "^groups must be a list of non-empty strings"),
+        (_replace_bundle(1, sample_rate=44100), r"^ideals mix sample rates \[16000, 44100\]$"),
+        (
+            lambda parts: parts.update(config=FrameConfig(hop_ms=5.0)),
+            r"^cell \(prompt 0, group 0\): ideal 's00' has another frame config$",
+        ),
+        (
+            _replace_bundle(2, config=FrameConfig(hop_ms=5.0)),
+            r"^cell \(prompt 1, group 0\): ideal 's10' has another frame config$",
+        ),
     ],
     ids=[
         "hole",
@@ -286,6 +306,9 @@ def _non_string_speaker(parts):
         "no-groups",
         "repeated-group",
         "empty-group-name",
+        "mixed-rate",
+        "other-config",
+        "one-ideal-of-another-config",
     ],
 )
 def test_reference_set_built_in_code_checks_every_rule(change, match):
@@ -311,46 +334,39 @@ def test_reference_set_keeps_cells_in_grid_order_and_looks_them_up_by_position()
             refs.cell(w, g)
 
 
-def _fake_bundles(entries, rng):
-    return {e.path: make_bundle(rng, 9, ceps=4) for e in entries}
+def _fake_clips(monkeypatch, entries, seed):
+    """Let ingest_clip give each entry's clip, which does not exist, a random bundle."""
+    rng = np.random.default_rng(seed)
+    bundles = {e.path: make_bundle(rng, 9, ceps=4) for e in entries}
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", lambda path, cfg: bundles[path])
 
 
-def test_build_corpus_index_shapes_cells():
-    rng = np.random.default_rng(77)
+def test_build_corpus_index_shapes_cells(monkeypatch):
     entries = fake_corpus_entries(3, 2, 2)
-    index = build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
-    assert index.groups == ("group0", "group1", "group2")
-    assert set(index.cells) == {(w, g) for w in range(2) for g in range(3)}
-    assert all(len(cell) == 2 for cell in index.cells.values())
+    _fake_clips(monkeypatch, entries, 77)
+    cells = build_corpus_index(entries, FrameConfig())
+    assert list(cells) == [(w, g) for w in range(2) for g in range(3)]
+    assert all(len(cell) == 2 for cell in cells.values())
+    assert select_ideals(cells, 0.15).groups == ("group0", "group1", "group2")
 
 
-def test_build_corpus_index_rejects_bundles_of_another_frame_config():
-    rng = np.random.default_rng(80)
-    entries = fake_corpus_entries(2, 2, 1)
-    bundles = _fake_bundles(entries, rng)
-    other = entries[-1].path
-    bundles[other] = dataclasses.replace(bundles[other], config=FrameConfig(hop_ms=5.0))
-    with pytest.raises(ConfigMismatch, match=f"^{re.escape(str(other))}: "):
-        build_corpus_index(entries, FrameConfig(), bundles=bundles)
-
-
-def test_build_corpus_index_reports_missing_cells():
-    rng = np.random.default_rng(78)
+def test_build_corpus_index_reports_missing_cells(monkeypatch):
     entries = fake_corpus_entries(2, 2, 2, skip={(1, 1)})
+    _fake_clips(monkeypatch, entries, 78)
     with pytest.raises(MissingCell, match=r"\(1, 1\)"):
-        build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
+        build_corpus_index(entries, FrameConfig())
 
 
-def test_build_corpus_index_requires_some_label():
+def test_build_corpus_index_requires_some_label(monkeypatch):
     entry = ManifestEntry(
         path=Path("/none/x.wav"), speaker="a", prompt=0, expert1=None, expert2=1, truth=None
     )
+    _fake_clips(monkeypatch, [entry], 81)
     with pytest.raises(MissingLabel):
-        build_corpus_index([entry], FrameConfig(), bundles={entry.path: None})
+        build_corpus_index([entry], FrameConfig())
 
 
-def test_truth_label_outranks_expert_label():
-    rng = np.random.default_rng(79)
+def test_truth_label_outranks_expert_label(monkeypatch):
     entries = fake_corpus_entries(2, 2, 1)
     # flip one speaker's expert opinion; truth must still place them
     moved = entries[0]
@@ -362,9 +378,10 @@ def test_truth_label_outranks_expert_label():
         expert2=moved.expert2,
         truth=0,
     )
-    index = build_corpus_index(entries, FrameConfig(), bundles=_fake_bundles(entries, rng))
-    assert any(u.speaker == moved.speaker for u in index.cells[(0, 0)])
-    assert not any(u.speaker == moved.speaker for u in index.cells[(0, 1)])
+    _fake_clips(monkeypatch, entries, 79)
+    cells = build_corpus_index(entries, FrameConfig())
+    assert any(u.speaker == moved.speaker for u in cells[(0, 0)])
+    assert not any(u.speaker == moved.speaker for u in cells[(0, 1)])
 
 
 def test_default_group_labels():
