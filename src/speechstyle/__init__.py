@@ -4,11 +4,9 @@ from .audio import AudioClip, SUPPORTED_RATES, read_wav, strip_silence, write_wa
 from .classify import (
     ClassificationResult,
     GroupScore,
-    NormKind,
     classify_manifest,
     classify_speaker,
     classify_utterance,
-    scalarize,
     score_against_group,
 )
 from .corpus import (
@@ -35,7 +33,7 @@ from .features import (
     extract_features,
     stress_contour,
 )
-from .metric import AlignmentPath, Triplet, compute_triplet, dtw_align
+from .metric import AlignmentPath, NormKind, Triplet, compute_triplet, dtw_align, scalarize
 from .reference import (
     CellAverage,
     ReferenceSet,

@@ -1,43 +1,17 @@
-"""Scalarization, per-group scoring, and the dominance decision rule."""
+"""Per-group scoring, the dominance decision rule, and speaker aggregation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .corpus import ManifestEntry
 from .errors import EmptyCell, EmptyResults, UnknownPrompt
 from .features import FeatureBundle
-from .metric import Triplet, compute_triplet
-
-if TYPE_CHECKING:
-    from pathlib import Path
-
-    from .corpus import ManifestEntry
-    from .reference import CellUtterance, ReferenceSet
-
-
-class NormKind(Enum):
-    L1 = "l1"
-    L2 = "l2"
-    LINF = "linf"
-
-
-def triplet_components(t: Triplet) -> tuple[float, float, float]:
-    """Map a triplet onto three [0, 1] penalties, 0 meaning identical."""
-    return (t.id / (1.0 + t.id), (1.0 - t.p) / 2.0, (1.0 - t.ir) / 2.0)
-
-
-def scalarize(t: Triplet, norm: NormKind = NormKind.L2) -> float:
-    """Collapse a triplet to a single nonnegative score, lower is closer."""
-    v = triplet_components(t)
-    if norm is NormKind.L1:
-        return v[0] + v[1] + v[2]
-    if norm is NormKind.L2:
-        return float(np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
-    return max(v)
+from .metric import NormKind, Triplet, compute_triplet, scalarize
+from .reference import CellUtterance, ReferenceSet, ingest_manifest
 
 
 @dataclass(frozen=True)
@@ -61,7 +35,7 @@ class ClassificationResult:
 
 def score_against_group(
     test: FeatureBundle,
-    ideals: Sequence["CellUtterance"],
+    ideals: Sequence[CellUtterance],
     group: int,
     norm: NormKind = NormKind.L2,
 ) -> GroupScore:
@@ -88,7 +62,7 @@ def _dominates(t: Triplet, others: Sequence[Triplet]) -> bool:
 def classify_utterance(
     test: FeatureBundle,
     prompt: int,
-    refs: "ReferenceSet",
+    refs: ReferenceSet,
     norm: NormKind = NormKind.L2,
 ) -> ClassificationResult:
     """Pick the group whose ideals a test utterance sits closest to.
@@ -122,16 +96,22 @@ def classify_utterance(
 
 
 def classify_manifest(
-    entries: Sequence["ManifestEntry"],
-    bundles: dict["Path", FeatureBundle],
-    refs: "ReferenceSet",
-    norm: NormKind = NormKind.L2,
+    entries: Sequence[ManifestEntry], refs: ReferenceSet, norm: NormKind = NormKind.L2
 ) -> tuple[list[ClassificationResult], dict[str, list[ClassificationResult]]]:
-    """Classify every entry's bundle, looked up by path, in input order.
+    """Read and classify every entry's clip against refs, in input order.
 
-    Returns the per-entry results in input order and each speaker's
-    results, in input order, keyed in sorted speaker order.
+    Every prompt is checked against refs before any clip is read; the
+    clips are read by ingest_manifest at the model's frame config and
+    sample rate. Returns the per-entry results in input order and each
+    speaker's results, in input order, keyed in sorted speaker order.
     """
+    for entry in entries:
+        if not 0 <= entry.prompt < refs.n_prompts:
+            raise UnknownPrompt(
+                f"{entry.path}: prompt {entry.prompt} is not covered by the reference set,"
+                f" which has {refs.n_prompts} prompt(s)"
+            )
+    bundles = ingest_manifest(entries, refs.config, refs.sample_rate)
     results = [classify_utterance(bundles[e.path], e.prompt, refs, norm) for e in entries]
     by_speaker: dict[str, list[ClassificationResult]] = {}
     for entry, result in zip(entries, results):

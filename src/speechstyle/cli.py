@@ -14,17 +14,13 @@ import math
 import sys
 from pathlib import Path
 
-from .classify import NormKind, classify_manifest, classify_speaker, mean_scalars
+from .classify import classify_manifest, classify_speaker, mean_scalars
 from .corpus import SynthConfig, generate_synthetic_corpus, load_labels, load_manifest
 from .errors import MissingCell, ParseError, RateMismatch, SpeechStyleError, UnknownPrompt
 from .evaluate import AgreementReport, LabelVector, agreement, evaluate_system
 from .features import FrameConfig
-from .reference import (
-    build_reference_set,
-    ingest_manifest,
-    load_reference_set,
-    save_reference_set,
-)
+from .metric import NormKind
+from .reference import build_reference_set, load_reference_set, save_reference_set
 
 
 class _UsageError(Exception):
@@ -165,17 +161,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _log("note: classify ignores --threshold; the model already holds the chosen ideals")
     refs = load_reference_set(args.model)
     entries = load_manifest(args.manifest)
-    for entry in entries:
-        if entry.prompt >= refs.n_prompts:
-            raise UnknownPrompt(
-                f"{entry.path}: prompt {entry.prompt} is not covered by model {args.model},"
-                f" which has {refs.n_prompts} prompt(s)"
-            )
     try:
-        bundles = ingest_manifest(entries, refs.config, refs.sample_rate)
-    except RateMismatch as exc:
-        raise RateMismatch(f"{exc} of model {args.model}") from exc
-    results, by_speaker = classify_manifest(entries, bundles, refs, NormKind(args.norm))
+        results, by_speaker = classify_manifest(entries, refs, NormKind(args.norm))
+    except (UnknownPrompt, RateMismatch) as exc:
+        raise type(exc)(f"{args.model}: {exc}") from exc
     header = ["speaker", "prompt", "chosen", "dominant"] + [
         f"scalar_{g}" for g in range(refs.n_groups)
     ]

@@ -8,16 +8,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import (
-    ClassificationResult,
-    NormKind,
-    classify_manifest,
-    classify_speaker,
-)
+from .classify import ClassificationResult, classify_manifest, classify_speaker
 from .corpus import ManifestEntry, entry_group, load_manifest
-from .errors import CellTooSmall, MissingCell, MissingLabel, RankOutOfRange, SubjectMismatch
+from .errors import (
+    CellTooSmall,
+    MissingCell,
+    MissingLabel,
+    RankOutOfRange,
+    SubjectMismatch,
+    UnknownPrompt,
+)
 from .features import FrameConfig
-from .reference import build_reference_set, check_threshold, ingest_manifest, label_grid
+from .metric import NormKind
+from .reference import build_reference_set, check_threshold, label_grid
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,13 @@ def evaluate_system(
     expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
     expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
     refs = build_reference_set(ref_entries, cfg, threshold, norm)
-    bundles = ingest_manifest(test_entries, refs.config, refs.sample_rate)
-    ordered = sorted(test_entries, key=lambda e: (e.speaker, e.prompt))
-    results, by_speaker = classify_manifest(ordered, bundles, refs, norm)
-    outcomes = tuple(UtteranceOutcome(e.speaker, e.prompt, r) for e, r in zip(ordered, results))
+    try:
+        results, by_speaker = classify_manifest(test_entries, refs, norm)
+    except UnknownPrompt as exc:
+        raise UnknownPrompt(f"{manifest}: {exc}") from exc
+    outcomes = tuple(
+        UtteranceOutcome(e.speaker, e.prompt, r) for e, r in zip(test_entries, results)
+    )
     system_vector = LabelVector(
         entries=tuple((speaker, classify_speaker(rs)) for speaker, rs in by_speaker.items())
     )

@@ -151,37 +151,24 @@ def _frame_signal(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
 
 
 def _sincos_2pibyn(n: int, x: int, ang: float) -> tuple[float, float]:
-    """(cos, sin) of 2*pi*x/n, reduced to the first octant as pocketfft does."""
+    """(cos, sin) of 2*pi*x/n for x < n/4, reduced to the first octant as pocketfft does."""
     x <<= 3
-    if x < 4 * n:
-        if x < 2 * n:
-            if x < n:
-                return math.cos(x * ang), math.sin(x * ang)
-            return math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
-        x -= 2 * n
-        if x < n:
-            return -math.sin(x * ang), math.cos(x * ang)
-        return -math.cos((2 * n - x) * ang), math.sin((2 * n - x) * ang)
-    x = 8 * n - x
-    if x < 2 * n:
-        if x < n:
-            return math.cos(x * ang), -math.sin(x * ang)
-        return math.sin((2 * n - x) * ang), -math.cos((2 * n - x) * ang)
-    x -= 4 * n
     if x < n:
-        return -math.sin(x * ang), -math.cos(x * ang)
-    return -math.cos((2 * n - x) * ang), -math.sin((2 * n - x) * ang)
+        return math.cos(x * ang), math.sin(x * ang)
+    return math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
 
 
 @lru_cache(maxsize=None)
 def _dct2_constants(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """The 1/sqrt(2n) scale and the twiddles cos(2*pi*k/4n), k = 1..n.
+    """The 1/sqrt(2n) scale and the twiddles cos(2*pi*k/4n), k = 0..n-1.
 
     Both follow pocketfft to the last bit: the scale is rounded from long
     double like its norm_fct, and each twiddle is the product of two
     table entries (indexed by the low and the high bits of k) whose
     angle step 0.25*pi/(4n) is rounded from long double, like its
-    sincos_2pibyn. The twiddles come split into the post-pass operands.
+    sincos_2pibyn. Only the entries below k = n are built: the post-pass
+    reads no other, and they all lie in the first quadrant. The twiddles
+    come split into the post-pass operands.
     """
     size = 4 * n
     pi = np.longdouble("3.141592653589793238462643383279502884197")
@@ -191,20 +178,17 @@ def _dct2_constants(n: int) -> tuple[float, np.ndarray, np.ndarray, float]:
     while (1 << shift) * (1 << shift) < nval:
         shift += 1
     mask = (1 << shift) - 1
-    low = [(1.0, 0.0)] + [_sincos_2pibyn(size, i, ang) for i in range(1, mask + 1)]
-    high = [(1.0, 0.0)] + [
-        _sincos_2pibyn(size, i * (mask + 1), ang) for i in range(1, (nval + mask) // (mask + 1))
-    ]
+    low = [_sincos_2pibyn(size, i, ang) for i in range(min(mask + 1, n))]
+    high = [_sincos_2pibyn(size, i << shift, ang) for i in range(((n - 1) >> shift) + 1)]
     tw = [
         low[k & mask][0] * high[k >> shift][0] - low[k & mask][1] * high[k >> shift][1]
-        for k in range(1, n + 1)
+        for k in range(n)
     ]
-    # The post-pass pairs column k = 1..half-1 with column n - k.
+    # The post-pass pairs column k = 1..half-1 with column n - k; column
+    # n // 2 is read only for even n, where it is half.
     half = (n + 1) // 2
-    lo = np.array([tw[k - 1] for k in range(1, half)])
-    hi = np.array([tw[n - k - 1] for k in range(1, half)])
     scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
-    return scale, lo, hi, tw[half - 1]
+    return scale, np.array(tw[1:half]), np.array(tw[n - 1 : n - half : -1]), tw[n // 2]
 
 
 def _dct2_ortho(x: np.ndarray) -> np.ndarray:

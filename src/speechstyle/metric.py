@@ -1,4 +1,4 @@
-"""Utterance comparison: DTW alignment and the distance triplet."""
+"""Utterance comparison: DTW alignment, the distance triplet and its scalarization."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,27 @@ class Triplet:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.id, self.p, self.ir)
+
+
+class NormKind(Enum):
+    L1 = "l1"
+    L2 = "l2"
+    LINF = "linf"
+
+
+def triplet_components(t: Triplet) -> tuple[float, float, float]:
+    """Map a triplet onto three [0, 1] penalties, 0 meaning identical."""
+    return (t.id / (1.0 + t.id), (1.0 - t.p) / 2.0, (1.0 - t.ir) / 2.0)
+
+
+def scalarize(t: Triplet, norm: NormKind = NormKind.L2) -> float:
+    """Collapse a triplet to a single nonnegative score, lower is closer."""
+    v = triplet_components(t)
+    if norm is NormKind.L1:
+        return v[0] + v[1] + v[2]
+    if norm is NormKind.L2:
+        return float(np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
+    return max(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +259,15 @@ def _similarity(u: np.ndarray, v: np.ndarray) -> float:
     return min(max(r, -1.0), 1.0)
 
 
+def _sorts_after(a: FeatureBundle, b: FeatureBundle) -> bool:
+    """Whether a sorts after b: by frame count, then by the bytes of its tracks."""
+    if a.frame_count != b.frame_count:
+        return a.frame_count > b.frame_count
+    return [t.tobytes() for t in (a.spectral, a.pitch, a.stress)] > [
+        t.tobytes() for t in (b.spectral, b.pitch, b.stress)
+    ]
+
+
 def compute_triplet(a: FeatureBundle, b: FeatureBundle) -> Triplet:
     """Compare two utterances along articulation, pitch, and stress.
 
@@ -247,14 +278,18 @@ def compute_triplet(a: FeatureBundle, b: FeatureBundle) -> Triplet:
     """
     if a.config != b.config:
         raise ConfigMismatch("feature bundles come from different frame configs")
-    path = dtw_align(a.spectral, b.spectral)
+    # Tied paths are broken by move order, which swapping the tracks
+    # changes; one fixed orientation per pair keeps the triplet symmetric.
+    swap = _sorts_after(a, b)
+    path = dtw_align(b.spectral, a.spectral) if swap else dtw_align(a.spectral, b.spectral)
+    rows, cols = (path.cols, path.rows) if swap else (path.rows, path.cols)
     id_dist = path.cost / (a.frame_count + b.frame_count)
-    pitch_a = a.pitch[path.rows]
-    pitch_b = b.pitch[path.cols]
+    pitch_a = a.pitch[rows]
+    pitch_b = b.pitch[cols]
     both_voiced = ~np.isnan(pitch_a) & ~np.isnan(pitch_b)
     if both_voiced.sum() < 2:
         p = 0.0
     else:
         p = _similarity(np.log(pitch_a[both_voiced]), np.log(pitch_b[both_voiced]))
-    ir = _similarity(a.stress[path.rows], b.stress[path.cols])
+    ir = _similarity(a.stress[rows], b.stress[cols])
     return Triplet(id=id_dist, p=p, ir=ir)

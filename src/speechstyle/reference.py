@@ -16,11 +16,10 @@ from typing import Callable, Container, Iterator, Mapping, Sequence
 import numpy as np
 
 from .audio import SUPPORTED_RATES, read_wav, strip_silence
-from .classify import NormKind, scalarize
 from .corpus import ManifestEntry, entry_group
 from .errors import EmptyCell, MissingCell, ParseError, RateMismatch, SpeechStyleError
 from .features import FeatureBundle, FrameConfig, extract_features
-from .metric import Triplet, compute_triplet
+from .metric import NormKind, Triplet, compute_triplet, scalarize
 
 # The only version read or written. Each feature track is stored as
 # base64 of its little-endian float64 bytes.

@@ -18,9 +18,11 @@ from speechstyle import (
     score_against_group,
     select_ideals,
 )
+from speechstyle import reference
 from speechstyle.corpus import ManifestEntry
-from speechstyle.classify import ClassificationResult, GroupScore, triplet_components
+from speechstyle.classify import ClassificationResult, GroupScore
 from speechstyle.errors import EmptyCell, EmptyResults
+from speechstyle.metric import triplet_components
 from speechstyle.reference import CellUtterance, ReferenceCell, ReferenceSet, default_group_labels
 
 
@@ -211,9 +213,11 @@ def test_classify_manifest_results_do_not_depend_on_entry_order(seed, n, random)
         ManifestEntry(Path(f"u{i}.wav"), f"spk{i % 3}", 0, None, None, None) for i in range(n)
     ]
     bundles = {e.path: make_bundle(rng, int(rng.integers(3, 15)), ceps=5) for e in entries}
-    results, by_speaker = classify_manifest(entries, bundles, refs)
     order = random.sample(range(n), n)
-    shuffled, shuffled_by_speaker = classify_manifest([entries[i] for i in order], bundles, refs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "ingest_clip", lambda path, cfg: bundles[path])
+        results, by_speaker = classify_manifest(entries, refs)
+        shuffled, shuffled_by_speaker = classify_manifest([entries[i] for i in order], refs)
     assert shuffled == [results[i] for i in order]
     assert list(shuffled_by_speaker) == list(by_speaker)
     for speaker, got in shuffled_by_speaker.items():

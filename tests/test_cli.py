@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import speechstyle
-from _helpers import fake_corpus_entries, write_float_wav
+from _helpers import fake_corpus_entries, make_bundle, write_float_wav
 from speechstyle import SynthConfig, load_manifest, load_reference_set, split_corpus, write_manifest
 from speechstyle.cli import build_parser, main
 from speechstyle.corpus import load_labels
@@ -357,7 +357,7 @@ def test_classify_stops_at_the_first_clip_at_another_rate_than_the_model(
     first = load_manifest(cli_corpus)[0].path
     assert (code, out, read) == (2, "", [first])
     assert err == (
-        f"error: {first}: sample rate 16000 differs from corpus rate 44100 of model {model}\n"
+        f"error: {model}: {first}: sample rate 16000 differs from corpus rate 44100\n"
     )
     assert not results.exists()
 
@@ -674,10 +674,35 @@ def test_classify_checks_prompts_before_any_clip_is_read(
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
-        f"error: {entries[2].path}: prompt 3 is not covered by model {cli_model},"
+        f"error: {cli_model}: {entries[2].path}: prompt 3 is not covered by the reference set,"
         " which has 1 prompt(s)\n"
     )
     assert not out_path.exists()
+
+
+def test_evaluate_checks_test_prompts_before_any_test_clip_is_read(capsys, tmp_path, monkeypatch):
+    # Prompt 1 is kept only for the test side, so the model covers prompt 0 alone.
+    entries = fake_corpus_entries(1, 8, 2)
+    _, test_side = split_corpus(entries, seed=42)
+    tested = {e.speaker for e in test_side}
+    entries = [e for e in entries if e.prompt == 0 or e.speaker in tested]
+    manifest = write_manifest(entries, tmp_path / "prompt1.csv")
+    rng = np.random.default_rng(11)
+    read = []
+
+    def fake_read(path, cfg):
+        read.append(path)
+        return make_bundle(rng, 12, ceps=cfg.n_ceps, cfg=cfg)
+
+    monkeypatch.setattr(speechstyle.reference, "ingest_clip", fake_read)
+    code, out, err = _run(capsys, "evaluate", "--manifest", str(manifest))
+    assert (code, out) == (2, "")
+    first = next(e for e in entries if e.prompt == 1)
+    assert err == (
+        f"error: {manifest}: {first.path}: prompt 1 is not covered by the reference set,"
+        " which has 1 prompt(s)\n"
+    )
+    assert sorted(read) == sorted(e.path for e in entries if e.speaker not in tested)
 
 
 def test_evaluate_names_a_silent_clip(small_corpus, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import re
@@ -20,6 +21,7 @@ from speechstyle import (
     split_corpus,
     write_manifest,
 )
+from speechstyle.cli import main
 from speechstyle.corpus import ManifestEntry
 from speechstyle.errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
 
@@ -303,3 +305,28 @@ def test_evaluate_checks_the_threshold_before_any_clip_is_read(tmp_path, monkeyp
     message = f"^threshold must be finite and nonnegative, got {threshold!r}$"
     with pytest.raises(ValueError, match=message):
         evaluate_system(manifest, FrameConfig(), threshold=threshold)
+
+
+def test_evaluate_is_build_refs_then_classify_on_the_split(small_corpus, tmp_path, capsys):
+    _, manifest = small_corpus
+    entries = load_manifest(manifest)
+    order = np.random.default_rng(3).permutation(len(entries))
+    shuffled = write_manifest([entries[k] for k in order], tmp_path / "shuffled.csv")
+    evaluation = evaluate_system(shuffled, FrameConfig())
+
+    ref_entries, test_entries = split_corpus(load_manifest(shuffled), seed=42)
+    model, results = tmp_path / "model.json", tmp_path / "results.csv"
+    ref_manifest = write_manifest(ref_entries, tmp_path / "ref.csv")
+    test_manifest = write_manifest(test_entries, tmp_path / "test.csv")
+    assert main(["build-refs", "--manifest", str(ref_manifest), "--out", str(model)]) == 0
+    argv = ["classify", "--model", str(model), "--manifest", str(test_manifest)]
+    assert main([*argv, "--out", str(results)]) == 0
+    capsys.readouterr()
+    with open(results, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(o.speaker, o.prompt, o.result.chosen) for o in evaluation.utterance_results] == [
+        (r["speaker"], int(r["prompt"]), int(r["chosen"])) for r in rows if r["prompt"]
+    ]
+    assert evaluation.speaker_labels.entries == tuple(
+        (r["speaker"], int(r["chosen"])) for r in rows if not r["prompt"]
+    )

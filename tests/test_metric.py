@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import re
 import shutil
 import threading
@@ -205,12 +206,19 @@ _VOICING = st.sampled_from([0.0, 0.3, 0.9, 1.0])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_SEEDS, st.integers(1, 30), st.integers(1, 30), _VOICING)
-def test_triplet_id_is_exactly_symmetric(seed, n, m, voiced_prob):
+@given(_SEEDS, st.integers(1, 30), st.integers(1, 30), _VOICING, st.booleans())
+def test_triplet_id_is_exactly_symmetric(seed, n, m, voiced_prob, tied):
     rng = np.random.default_rng(seed)
     a = make_bundle(rng, n, ceps=6, voiced_prob=voiced_prob)
     b = make_bundle(rng, m, ceps=6, voiced_prob=voiced_prob)
+    if tied:
+        # 0/1 frames give many exactly equal distances, so ties decide the path
+        a, b = (
+            dataclasses.replace(u, spectral=rng.integers(0, 2, size=u.spectral.shape) * 1.0)
+            for u in (a, b)
+        )
     assert compute_triplet(a, b).id == compute_triplet(b, a).id
+    assert compute_triplet(a, b) == compute_triplet(b, a)
 
 
 @settings(max_examples=150, deadline=None)

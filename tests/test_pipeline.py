@@ -78,7 +78,7 @@ def test_classify_manifest_orders_entries_and_speakers(tiny_corpus):
     shuffled = entries[::-1]
     bundles = ingest_manifest(shuffled, refs.config)
     assert set(bundles) == {e.path for e in entries}
-    results, by_speaker = classify_manifest(shuffled, bundles, refs)
+    results, by_speaker = classify_manifest(shuffled, refs)
     assert results == [classify_utterance(bundles[e.path], e.prompt, refs) for e in shuffled]
     assert list(by_speaker) == sorted({e.speaker for e in entries})
     for speaker, speaker_results in by_speaker.items():
@@ -205,3 +205,30 @@ def test_perfbench_span_names_are_public_functions_of_their_layers():
     # Classification time is charged to the classify layer only while it is defined there.
     moved = getattr(reference, "classify_manifest", None)
     assert moved is None or moved.__module__ != reference.__name__
+
+
+_LAYERS = (
+    "errors", "audio", "corpus", "features", "metric", "reference", "classify", "evaluate", "cli"
+)
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a module imports anywhere, under `if TYPE_CHECKING:` too."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("speechstyle."):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.startswith("speechstyle."))
+    return {name.removeprefix("speechstyle.").split(".")[0] for name in names}
+
+
+def test_each_module_imports_only_the_layers_before_it():
+    """Modules import only those to their left in _LAYERS, so no import cycle can form."""
+    src = Path(reference.__file__).parent
+    assert sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__") == sorted(_LAYERS)
+    for k, layer in enumerate(_LAYERS):
+        imported = _package_imports(ast.parse((src / f"{layer}.py").read_text()))
+        assert imported <= set(_LAYERS[:k]), (layer, sorted(imported - set(_LAYERS[:k])))
