@@ -185,6 +185,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.groups < 1 or self.speakers_per_group < 1 or self.prompts < 1:
             raise ValueError("groups, speakers_per_group, and prompts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.sample_rate not in SUPPORTED_RATES:
             raise ValueError(f"sample_rate must be one of {SUPPORTED_RATES}")
         if not 0 < self.duration_ms < np.inf:

@@ -491,8 +491,8 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
     """Decode a model document of version MODEL_VERSION; ReferenceSet checks its rules."""
     try:
         version = doc["version"]
-        if version != MODEL_VERSION:
-            raise ParseError(f"unsupported model version {version}")
+        if type(version) is not int or version != MODEL_VERSION:
+            raise ParseError(f"unsupported model version {version!r}")
         rate = doc["sample_rate"]
         if type(rate) is not int or rate not in SUPPORTED_RATES:
             raise ParseError(f"sample_rate must be an int in {SUPPORTED_RATES}, got {rate!r}")

@@ -122,6 +122,7 @@ _BAD_SYNTH_VALUES = [
     ("--label-noise", "2", "label_noise"),
     ("--label-noise", "-0.1", "label_noise"),
     ("--label-noise", "nan", "label_noise"),
+    ("--seed", "-3", "seed"),
 ]
 
 
@@ -581,16 +582,20 @@ print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m 
     assert done.stdout.strip() == ""
 
 
-def test_build_refs_and_classify_do_not_load_openssl(tiny_corpus, tmp_path):
-    # _hashlib maps OpenSSL, about 4 MiB of every job's peak memory
+def test_build_refs_and_classify_do_not_load_openssl(tiny_corpus, small_corpus, tmp_path):
+    # _hashlib maps OpenSSL, about 4 MiB of every job's peak memory; numpy.random
+    # would load it through secrets and hmac
     _, manifest = tiny_corpus
+    _, evaluate_manifest = small_corpus
     model, results = str(tmp_path / "model.json"), str(tmp_path / "results.csv")
+    report = str(tmp_path / "report.json")
     script = f"""
 import sys
 from speechstyle.cli import main
 assert main(["build-refs", "--manifest", {str(manifest)!r}, "--out", {model!r}]) == 0
 assert main(["classify", "--model", {model!r}, "--manifest", {str(manifest)!r}, "--out", {results!r}]) == 0
-print("loaded:", *sorted(m for m in ("_hashlib", "_ssl") if m in sys.modules))
+assert main(["evaluate", "--manifest", {str(evaluate_manifest)!r}, "--out", {report!r}]) == 0
+print("loaded:", *sorted(m for m in ("_hashlib", "_ssl", "numpy.random") if m in sys.modules))
 """
     src = Path(speechstyle.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}

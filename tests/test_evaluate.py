@@ -24,6 +24,7 @@ from speechstyle import (
 from speechstyle.cli import main
 from speechstyle.corpus import ManifestEntry
 from speechstyle.errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
+from speechstyle.evaluate import _Permutations
 
 
 def _vector(ranks):
@@ -214,6 +215,22 @@ def test_split_pinned_selection_for_default_seed():
         "g4s00",
         "g4s05",
     }
+
+
+def test_split_permutations_match_numpy_default_rng():
+    # One generator serves n = 1..100 in turn, as the split serves its
+    # groups, so the buffered upper half of a 64-bit draw carries over.
+    for seed in [*range(200), 2**32 - 1, 2**32, 2**64 + 5, 2**73 + 12345, 2**200 - 1, np.int64(42)]:
+        rng = np.random.default_rng(seed)
+        copy = _Permutations(seed)
+        for n in range(1, 101):
+            assert copy.permutation(n) == rng.permutation(n).tolist(), (seed, n)
+
+
+def test_split_rejects_a_negative_seed():
+    entries = fake_corpus_entries(2, 3, 1)
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        split_corpus(entries, -1)
 
 
 def test_split_preserves_manifest_order_within_sides():

@@ -618,6 +618,7 @@ def _narrow_spectral(ideal, columns=5):
         (lambda doc: doc.update(version=4), "unsupported model version 4"),
         (lambda doc: doc.update(version=1), "unsupported model version 1"),
         (lambda doc: doc.update(version=2), "unsupported model version 2"),
+        (lambda doc: doc.update(version=3.0), r"unsupported model version 3\.0$"),
         (lambda doc: doc.update(threshold=math.nan), "threshold must be finite and nonnegative, got nan"),
         (lambda doc: doc.update(threshold=math.inf), "threshold must be finite and nonnegative, got inf"),
         (lambda doc: doc.update(threshold=-0.5), r"threshold must be finite and nonnegative, got -0\.5"),
