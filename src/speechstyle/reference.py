@@ -177,12 +177,13 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def _pair_tables(cells: Sequence[Sequence[CellUtterance]]) -> list[list[list[Triplet]]]:
-    """Each cell's full N x N triplet table, in cell order.
+def _cell_statistics(
+    cells: Sequence[Sequence[CellUtterance]], norm: NormKind
+) -> list[tuple[CellAverage, np.ndarray]]:
+    """Each cell's average plus its N x N scalar matrix, zero on the diagonal, in cell order.
 
-    The diagonal is (0, 1, 1) by identity, and each unordered pair is
-    scored once; the pairs of all cells share one thread pool. An empty
-    cell raises EmptyCell before any pair is scored.
+    Each unordered pair is scored and scalarized once, on one thread pool
+    for all cells; an empty cell raises EmptyCell before any is scored.
     """
     if not all(cells):
         raise EmptyCell("cannot average an empty cell")
@@ -192,36 +193,26 @@ def _pair_tables(cells: Sequence[Sequence[CellUtterance]]) -> list[list[list[Tri
         for k, l in itertools.combinations(range(len(cell)), 2)
     ]
     scored = iter(list(_ordered_map(lambda pair: compute_triplet(*pair), pairs)))
-    identity = Triplet(0.0, 1.0, 1.0)
-    tables = []
+    stats = []
     for cell in cells:
-        table = [[identity] * len(cell) for _ in cell]
-        for k, l in itertools.combinations(range(len(cell)), 2):
-            table[k][l] = table[l][k] = next(scored)
-        tables.append(table)
-    return tables
-
-
-def _cell_statistics(pairs: list[list[Triplet]], norm: NormKind) -> tuple[CellAverage, np.ndarray]:
-    """A cell's average plus its N x N scalar matrix, zero on the diagonal.
-
-    Both come from one pair table, so each unordered pair is scored once.
-    """
-    n = len(pairs)
-    sum_id = sum_p = sum_ir = 0.0
-    scalars = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            t = pairs[k][l]
+        n = len(cell)
+        # Keyed (k, l) with k <= l; the diagonal is (0, 1, 1) by identity.
+        upper = {(k, k): Triplet(0.0, 1.0, 1.0) for k in range(n)}
+        scalars = np.zeros((n, n))
+        for k, l in itertools.combinations(range(n), 2):
+            upper[k, l] = next(scored)
+            scalars[k, l] = scalars[l, k] = scalarize(upper[k, l], norm)
+        # One ordered pair at a time, row by row: np.sum and math.fsum round differently.
+        sum_id = sum_p = sum_ir = 0.0
+        for k, l in itertools.product(range(n), repeat=2):
+            t = upper[min(k, l), max(k, l)]
             sum_id += t.id
             sum_p += t.p
             sum_ir += t.ir
-            if k != l:
-                scalars[k, l] = scalarize(t, norm)
-    mean = Triplet(sum_id / (n * n), sum_p / (n * n), sum_ir / (n * n))
-    off_diagonal = scalars[~np.eye(n, dtype=bool)]
-    variation = float(np.std(off_diagonal)) if off_diagonal.size else 0.0
-    return CellAverage(mean=mean, variation=variation, size=n), scalars
+        mean = Triplet(sum_id / (n * n), sum_p / (n * n), sum_ir / (n * n))
+        variation = float(np.std(scalars[~np.eye(n, dtype=bool)])) if n > 1 else 0.0
+        stats.append((CellAverage(mean=mean, variation=variation, size=n), scalars))
+    return stats
 
 
 def compute_cell_average(
@@ -234,8 +225,7 @@ def compute_cell_average(
     identity triplet. The variation is the standard deviation of the
     scalarized score over the off-diagonal ordered pairs, 0 for N = 1.
     """
-    (pairs,) = _pair_tables([cell])
-    return _cell_statistics(pairs, norm)[0]
+    return _cell_statistics([cell], norm)[0][0]
 
 
 def _select_cell_ideals(
@@ -281,8 +271,8 @@ def select_ideals(
     keys = sorted(cells)
     utterances = [cells[key] for key in keys]
     chosen = []
-    for (prompt, group), cell, pairs in zip(keys, utterances, _pair_tables(utterances)):
-        avg, scalars = _cell_statistics(pairs, norm)
+    stats = _cell_statistics(utterances, norm)
+    for (prompt, group), cell, (avg, scalars) in zip(keys, utterances, stats):
         picks = _select_cell_ideals(cell, scalars, avg.variation, threshold)
         chosen.append(
             ReferenceCell(
@@ -293,7 +283,7 @@ def select_ideals(
                 ideals=tuple(cell[k] for k in picks),
             )
         )
-    # _pair_tables has raised EmptyCell for an empty cell, so every cell has a first utterance.
+    # _cell_statistics has raised EmptyCell for an empty cell, so every cell has a first utterance.
     return ReferenceSet(
         config=utterances[0][0].bundle.config,
         threshold=threshold,
