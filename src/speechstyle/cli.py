@@ -54,7 +54,8 @@ def _frame_config(text: str | None) -> FrameConfig:
     inline = text.lstrip()[:1] in ("{", "[", '"')
     source = "--frame-config" if inline else f"--frame-config {text}"
     try:
-        return FrameConfig.from_dict(json.loads(text if inline else Path(text).read_text()))
+        doc = json.loads(text if inline else Path(text).read_text(encoding="utf-8"))
+        return FrameConfig.from_dict(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}: not valid JSON: {exc}") from exc
     except ValueError as exc:
@@ -182,7 +183,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         label = classify_speaker(speaker_results)
         means = [repr(m) for m in mean_scalars(speaker_results)]
         rows.append([speaker, "", str(label), "", *means])
-    with open(args.out, "w", newline="") as handle:
+    with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -214,7 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(_format_report_table(reports))
     doc = {key: rep.to_dict() for key, rep in reports.items()}
     if args.out:
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2)
             handle.write("\n")
         _log(f"report written to {args.out}")

@@ -59,7 +59,7 @@ def _read_csv(path: str | Path, header: tuple[str, ...], parse_row: Callable) ->
     text that does not decode raises a ParseError naming the file.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             first = next(reader, None)
             if first is None:
@@ -151,7 +151,7 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> Path:
     """
     path = Path(path)
     base = path.parent.absolute()
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(MANIFEST_HEADER)
         for e in entries:

@@ -201,7 +201,7 @@ def _align_python(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
 
 
 def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
-    """Globally optimal DTW alignment of two feature tracks.
+    """Globally optimal DTW alignment of two 2-D (frames x coefficients) feature tracks.
 
     Per-cell cost is the Euclidean distance between frame vectors; step
     weights are 2 for a diagonal move and 1 for horizontal or vertical,
@@ -213,8 +213,12 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
     where that cannot be built or loaded it runs in Python, with equal
     results bit for bit.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(
+            f"tracks must be 2-D (frames x coefficients), got shapes {a.shape} and {b.shape}"
+        )
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("cannot align an empty track")
     if a.shape[1] != b.shape[1]:

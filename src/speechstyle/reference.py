@@ -52,12 +52,37 @@ class ReferenceCell:
     ideals: tuple[CellUtterance, ...]
 
 
+def _finite_real(x: object) -> bool:
+    """Whether x is a finite real number other than a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def check_threshold(threshold: float) -> None:
     """Raise ValueError unless threshold is a finite, nonnegative real number (not a bool)."""
-    if isinstance(threshold, bool) or not (
-        isinstance(threshold, numbers.Real) and 0 <= threshold < math.inf
-    ):
+    if not (_finite_real(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold!r}")
+
+
+def _check_statistics(where: str, mean: object, variation: object) -> None:
+    """Raise ValueError unless mean holds a valid Triplet's parts and variation is a spread.
+
+    Each of the three parts and the variation must be a finite real
+    number, not a bool; id and the variation are nonnegative, p and ir
+    lie in [-1, 1].
+    """
+    if not (
+        isinstance(mean, (list, tuple))
+        and len(mean) == 3
+        and all(map(_finite_real, mean))
+        and mean[0] >= 0
+        and all(-1 <= x <= 1 for x in mean[1:])
+    ):
+        raise ValueError(
+            f"{where}: mean must be finite (id, p, ir) with id >= 0 and p, ir in [-1, 1],"
+            f" got {mean!r}"
+        )
+    if not (_finite_real(variation) and variation >= 0):
+        raise ValueError(f"{where}: variation must be finite and nonnegative, got {variation!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,8 @@ class ReferenceSet:
     Construction raises ValueError for a set that breaks a rule of
     __post_init__, and keeps the cells in (prompt, group) order, so cell
     (p, g) sits at position p * n_groups + g. Every ideal was extracted
-    under config, and all ideals share one sample rate.
+    under config, all ideals share one sample rate, and every cell's
+    mean and variation pass _check_statistics.
     """
 
     config: FrameConfig
@@ -94,6 +120,9 @@ class ReferenceSet:
             where = f"cell (prompt {c.prompt}, group {c.group})"
             if c.prompt < 0 or c.group not in range(len(groups)):
                 raise ValueError(f"{where} lies outside the model's {len(groups)} groups")
+            if not isinstance(c.mean, Triplet):
+                raise ValueError(f"{where}: mean must be a Triplet, got {c.mean!r}")
+            _check_statistics(where, c.mean.as_tuple(), c.variation)
             if not c.ideals:
                 raise ValueError(f"{where} has no ideals")
             for u in c.ideals:
@@ -202,7 +231,7 @@ def _cell_statistics(
         for k, l in itertools.combinations(range(n), 2):
             upper[k, l] = next(scored)
             scalars[k, l] = scalars[l, k] = scalarize(upper[k, l], norm)
-        # One ordered pair at a time, row by row: np.sum and math.fsum round differently.
+        # One ordered pair at a time, row by row: np.sum, math.fsum and 3.12's sum() round apart.
         sum_id = sum_p = sum_ir = 0.0
         for k, l in itertools.product(range(n), repeat=2):
             t = upper[min(k, l), max(k, l)]
@@ -443,6 +472,19 @@ def _ideal_from_json(item: dict, cfg: FrameConfig, rate: int) -> CellUtterance:
     return CellUtterance(speaker=item["speaker"], bundle=bundle)
 
 
+def _cell_from_json(cell: dict, cfg: FrameConfig, rate: int) -> ReferenceCell:
+    """Decode one cell; its mean and variation must pass _check_statistics as stored."""
+    prompt, group, mean, variation = cell["prompt"], cell["group"], cell["mean"], cell["variation"]
+    _check_statistics(f"cell (prompt {prompt}, group {group})", mean, variation)
+    return ReferenceCell(
+        prompt=prompt,
+        group=group,
+        mean=Triplet(*mean),
+        variation=variation,
+        ideals=tuple(_ideal_from_json(item, cfg, rate) for item in cell["ideals"]),
+    )
+
+
 def _model_head(refs: ReferenceSet) -> dict:
     """Every key of the model document but the cells."""
     return {
@@ -488,16 +530,7 @@ def reference_set_from_dict(doc: dict) -> ReferenceSet:
             raise ParseError(f"sample_rate must be an int in {SUPPORTED_RATES}, got {rate!r}")
         cfg = FrameConfig.from_dict(doc["frame_config"])
         threshold, groups = doc["threshold"], doc["groups"]
-        cells = tuple(
-            ReferenceCell(
-                prompt=cell["prompt"],
-                group=cell["group"],
-                mean=Triplet(*[float(x) for x in cell["mean"]]),
-                variation=float(cell["variation"]),
-                ideals=tuple(_ideal_from_json(item, cfg, rate) for item in cell["ideals"]),
-            )
-            for cell in doc["cells"]
-        )
+        cells = tuple(_cell_from_json(cell, cfg, rate) for cell in doc["cells"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
     try:
@@ -513,7 +546,7 @@ def save_reference_set(refs: ReferenceSet, path: str | Path) -> None:
     """
     # The cells are the document's last key; dumped empty, they split the head from the tail.
     head, tail = json.dumps({**_model_head(refs), "cells": []}, indent=2).rsplit("[]", 1)
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(head + "[")
         for k, cell in enumerate(refs.cells):
             # JSON strings hold no raw newline, so indenting every line nests the dump.
@@ -524,7 +557,7 @@ def save_reference_set(refs: ReferenceSet, path: str | Path) -> None:
 
 def load_reference_set(path: str | Path) -> ReferenceSet:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc

@@ -606,6 +606,31 @@ print("loaded:", *sorted(m for m in ("_hashlib", "_ssl", "numpy.random") if m in
     assert done.stdout.splitlines()[-1] == "loaded:"
 
 
+def test_build_refs_and_classify_read_and_write_utf8_under_an_ascii_locale(tiny_corpus, tmp_path):
+    _, manifest = tiny_corpus
+    entries = [dataclasses.replace(e, speaker=f"{e.speaker}-é") for e in load_manifest(manifest)]
+    renamed = write_manifest(entries, tmp_path / "manifest.csv")
+    model, results = tmp_path / "model.json", tmp_path / "results.csv"
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    script = "import sys; from speechstyle.cli import main; sys.exit(main())"
+    for argv in (
+        ["build-refs", "--manifest", renamed, "--out", model],
+        ["classify", "--model", model, "--manifest", renamed, "--out", results],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+    written = results.read_bytes()
+    for speaker in {e.speaker for e in entries}:
+        assert f"\n{speaker},".encode("utf-8") in written
+
+
 def _evaluate_with_one_bad_clip(small_corpus, capsys, tmp_path, bad_wav):
     """Run evaluate on the small corpus with its fourth clip swapped for bad_wav."""
     _, manifest = small_corpus

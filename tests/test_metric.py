@@ -179,6 +179,25 @@ def test_dtw_rejects_mismatched_coefficients():
         dtw_align(np.zeros((3, 4)), np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("path", ["kernel", "python"])
+@pytest.mark.parametrize(
+    "a, b, shapes",
+    [
+        (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]), r"\(3,\) and \(2,\)"),
+        (np.zeros((2, 3, 4)), np.zeros((3, 3, 4)), r"\(2, 3, 4\) and \(3, 3, 4\)"),
+        (np.zeros((2, 3)), np.zeros(3), r"\(2, 3\) and \(3,\)"),
+        (np.float64(1.0), np.zeros((2, 3)), r"\(\) and \(2, 3\)"),
+    ],
+    ids=["1-d", "3-d", "2-d-against-1-d", "scalar"],
+)
+def test_dtw_rejects_tracks_that_are_not_2d(monkeypatch, path, a, b, shapes):
+    # A 1-D track once read as one frame and a 3-D one as frames of its second axis only.
+    if path == "python":
+        monkeypatch.setattr(metric, "_load_kernel", lambda: None)
+    with pytest.raises(ValueError, match=f"^tracks must be 2-D .*, got shapes {shapes}$"):
+        dtw_align(a, b)
+
+
 def test_triplet_identity():
     rng = np.random.default_rng(25)
     for _ in range(10):

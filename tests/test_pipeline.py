@@ -19,9 +19,11 @@ from _helpers import make_bundle
 from speechstyle import (
     AudioClip,
     FrameConfig,
+    NormKind,
     build_reference_set,
     classify_manifest,
     classify_utterance,
+    compute_cell_average,
     ingest_manifest,
     load_manifest,
     save_reference_set,
@@ -61,6 +63,40 @@ def test_select_ideals_scores_each_pair_once(threshold, triplet_calls):
     cell = tuple(CellUtterance(speaker=f"s{k}", bundle=make_bundle(rng, 10, 4)) for k in range(n))
     select_ideals({(0, 0): cell}, threshold)
     assert len(triplet_calls) == n * (n - 1) // 2
+
+
+def _float_bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("norm", list(NormKind))
+def test_select_ideals_scalarizes_each_pair_once_and_matches_the_cell_average(
+    workers, monkeypatch, norm
+):
+    rng = np.random.default_rng(91)
+    sizes = {(0, 0): 1, (0, 1): 2, (1, 0): 4, (1, 1): 5}
+    cells = {
+        key: tuple(CellUtterance(f"s{k}", make_bundle(rng, 8 + k, 4)) for k in range(n))
+        for key, n in sizes.items()
+    }
+    calls = []
+    original = reference.scalarize
+
+    def counting(t, norm):
+        calls.append(norm)
+        return original(t, norm)
+
+    monkeypatch.setattr(reference, "scalarize", counting)
+    for count in (1, 2, 3):
+        workers(count)
+        calls.clear()
+        refs = select_ideals(cells, 0.15, norm)
+        assert calls == [norm] * sum(n * (n - 1) // 2 for n in sizes.values())
+        for (prompt, group), cell in cells.items():
+            got, want = refs.cell(prompt, group), compute_cell_average(cell, norm)
+            assert _float_bits(*got.mean.as_tuple(), got.variation) == _float_bits(
+                *want.mean.as_tuple(), want.variation
+            )
 
 
 def test_build_corpus_index_checks_labels_before_reading(tmp_path):
@@ -232,3 +268,32 @@ def test_each_module_imports_only_the_layers_before_it():
     for k, layer in enumerate(_LAYERS):
         imported = _package_imports(ast.parse((src / f"{layer}.py").read_text()))
         assert imported <= set(_LAYERS[:k]), (layer, sorted(imported - set(_LAYERS[:k])))
+
+
+def _file_opens(tree: ast.AST):
+    """(call, mode, encoding) for each open(), Path.open(), read_text() and write_text() in tree."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        keywords = {k.arg: k.value for k in node.keywords}
+        encoding = keywords.get("encoding")
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield node, node.args[1] if len(node.args) > 1 else keywords.get("mode"), encoding
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            yield node, node.args[0] if node.args else keywords.get("mode"), encoding
+        elif isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            yield node, None, encoding
+
+
+def test_every_text_file_is_opened_as_utf8():
+    """Every file the package opens is binary or UTF-8, so no text follows the locale."""
+    src = Path(reference.__file__).parent
+    seen = 0
+    for path in sorted(src.glob("*.py")):
+        for call, mode, encoding in _file_opens(ast.parse(path.read_text(encoding="utf-8"))):
+            seen += 1
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            utf8 = isinstance(encoding, ast.Constant) and encoding.value == "utf-8"
+            assert binary or utf8, f"{path.name}:{call.lineno}"
+    assert seen >= 8

@@ -292,6 +292,15 @@ def _replace_bundle(k, **changes):
             _replace_bundle(2, config=FrameConfig(hop_ms=5.0)),
             r"^cell \(prompt 1, group 0\): ideal 's10' has another frame config$",
         ),
+        (_replace_cell(0, variation=math.nan), r"^cell \(prompt 0, group 0\): variation must be finite and nonnegative, got nan$"),
+        (_replace_cell(1, variation=-1.0), r"^cell \(prompt 0, group 1\): variation must be .*, got -1\.0$"),
+        (_replace_cell(2, variation=math.inf), r"^cell \(prompt 1, group 0\): variation must be .*, got inf$"),
+        (_replace_cell(3, variation=True), r"^cell \(prompt 1, group 1\): variation must be .*, got True$"),
+        (_replace_cell(0, variation="0.0"), r"^cell \(prompt 0, group 0\): variation must be .*, got '0\.0'$"),
+        (_replace_cell(0, mean=Triplet(True, False, True)), r"^cell \(prompt 0, group 0\): mean must be finite .*, got \(True, False, True\)$"),
+        (_replace_cell(1, mean=Triplet(math.inf, 1.0, 1.0)), r"^cell \(prompt 0, group 1\): mean must be .*, got \(inf, 1\.0, 1\.0\)$"),
+        (_replace_cell(2, mean=Triplet(math.nan, 1.0, 1.0)), r"^cell \(prompt 1, group 0\): mean must be .*, got \(nan, 1\.0, 1\.0\)$"),
+        (_replace_cell(3, mean=(0.0, 1.0, 1.0)), r"^cell \(prompt 1, group 1\): mean must be a Triplet, got \(0\.0, 1\.0, 1\.0\)$"),
     ],
     ids=[
         "hole",
@@ -309,6 +318,15 @@ def _replace_bundle(k, **changes):
         "mixed-rate",
         "other-config",
         "one-ideal-of-another-config",
+        "nan-variation",
+        "negative-variation",
+        "infinite-variation",
+        "bool-variation",
+        "string-variation",
+        "bool-mean",
+        "infinite-mean",
+        "nan-mean",
+        "tuple-mean",
     ],
 )
 def test_reference_set_built_in_code_checks_every_rule(change, match):
@@ -604,6 +622,13 @@ def _first_ideal(change):
     return mutate
 
 
+def _first_cell(**changes):
+    def mutate(doc):
+        doc["cells"][0].update(changes)
+
+    return mutate
+
+
 def _narrow_spectral(ideal, columns=5):
     """Keep only the first columns of an ideal's spectral track, re-encoded."""
     track = ideal["spectral"]
@@ -662,6 +687,19 @@ def _narrow_spectral(ideal, columns=5):
             _first_ideal(_narrow_spectral),
             r"spectral of ideal '.+': 5 coefficients per frame, but frame_config has n_ceps 13$",
         ),
+        (_first_cell(variation="nan"), r"cell \(prompt 0, group 0\): variation must be finite and nonnegative, got 'nan'$"),
+        (_first_cell(variation=-1.0), r"cell \(prompt 0, group 0\): variation must be .*, got -1\.0$"),
+        (_first_cell(variation="Infinity"), r"cell \(prompt 0, group 0\): variation must be .*, got 'Infinity'$"),
+        (_first_cell(variation=math.nan), r"cell \(prompt 0, group 0\): variation must be .*, got nan$"),
+        (_first_cell(variation=math.inf), r"cell \(prompt 0, group 0\): variation must be .*, got inf$"),
+        (_first_cell(variation=False), r"cell \(prompt 0, group 0\): variation must be .*, got False$"),
+        (_first_cell(mean=[True, False, True]), r"cell \(prompt 0, group 0\): mean must be finite .*, got \[True, False, True\]$"),
+        (_first_cell(mean=["nan", 1, 1]), r"cell \(prompt 0, group 0\): mean must be .*, got \['nan', 1, 1\]$"),
+        (_first_cell(mean=[math.inf, 1, 1]), r"cell \(prompt 0, group 0\): mean must be .*, got \[inf, 1, 1\]$"),
+        (_first_cell(mean=[-0.5, 1, 1]), r"cell \(prompt 0, group 0\): mean must be .*, got \[-0\.5, 1, 1\]$"),
+        (_first_cell(mean=[0.5, 1.5, 1]), r"cell \(prompt 0, group 0\): mean must be .*, got \[0\.5, 1\.5, 1\]$"),
+        (_first_cell(mean=[0.5, 1]), r"cell \(prompt 0, group 0\): mean must be .*, got \[0\.5, 1\]$"),
+        (_first_cell(mean="0.5"), r"cell \(prompt 0, group 0\): mean must be .*, got '0\.5'$"),
     ],
 )
 def test_model_load_errors_name_the_model_path(tiny_corpus, tmp_path, mutate, match):
