@@ -1,6 +1,6 @@
 /* DTW alignment of two feature tracks, bit-identical to metric._align_python.
  *
- * Build: cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared _dtw.c -lm
+ * Build (with _fft.c): cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared ... -lm
  * No -ffast-math: every sum, product and comparison must round exactly as
  * numpy and the Python recurrence do.
  */
@@ -10,41 +10,78 @@
 
 enum { DIAG = 1, VERT = 2, HORIZ = 3 };
 
-/* Sum of (a[k] - b[k])^2 over k < n in numpy's pairwise summation order,
- * so that the result equals ((a - b) ** 2).sum() bit for bit. */
-static double sq_dist(const double *a, const double *b, int64_t n)
+/* out[j] = sum of (a[k] - b[j][k])^2 over k < n, for j < m, in numpy's
+ * pairwise summation order, so that each equals ((a - b[j]) ** 2).sum()
+ * bit for bit. bt holds b transposed (bt[k * m + j] = b[j][k]), so every
+ * loop over j runs on adjacent values and vectorizes; each j keeps its
+ * own sums in their own order. tmp needs room for scratch_rows(n) * m. */
+static void sq_dists(const double *restrict a, const double *restrict bt, int64_t m, int64_t n,
+                     double *restrict out, double *restrict tmp)
 {
     if (n < 8) {
-        double res = 0.0;
+        for (int64_t j = 0; j < m; j++)
+            out[j] = 0.0;
         for (int64_t k = 0; k < n; k++) {
-            double d = a[k] - b[k];
-            res += d * d;
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[k] - bt[k * m + j];
+                out[j] += d * d;
+            }
         }
-        return res;
+        return;
     }
     if (n <= 128) {
-        double r[8];
+        double *r = tmp;
         for (int k = 0; k < 8; k++) {
-            double d = a[k] - b[k];
-            r[k] = d * d;
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[k] - bt[k * m + j];
+                r[k * m + j] = d * d;
+            }
         }
         int64_t i;
         for (i = 8; i < n - (n % 8); i += 8) {
             for (int k = 0; k < 8; k++) {
-                double d = a[i + k] - b[i + k];
-                r[k] += d * d;
+                for (int64_t j = 0; j < m; j++) {
+                    double d = a[i + k] - bt[(i + k) * m + j];
+                    r[k * m + j] += d * d;
+                }
             }
         }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (int64_t j = 0; j < m; j++)
+            out[j] = ((r[j] + r[m + j]) + (r[2 * m + j] + r[3 * m + j]))
+                     + ((r[4 * m + j] + r[5 * m + j]) + (r[6 * m + j] + r[7 * m + j]));
         for (; i < n; i++) {
-            double d = a[i] - b[i];
-            res += d * d;
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[i] - bt[i * m + j];
+                out[j] += d * d;
+            }
         }
-        return res;
+        return;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return sq_dist(a, b, n2) + sq_dist(a + n2, b + n2, n - n2);
+    sq_dists(a, bt, m, n2, out, tmp);
+    sq_dists(a + n2, bt + n2 * m, m, n - n2, tmp, tmp + m);
+    for (int64_t j = 0; j < m; j++)
+        out[j] += tmp[j];
+}
+
+/* Rows of m values that sq_dists(..., n, ...) needs in tmp. */
+static int64_t scratch_rows(int64_t n)
+{
+    if (n <= 128)
+        return 8;
+    int64_t n2 = n / 2 - (n / 2) % 8;
+    int64_t first = scratch_rows(n2), second = 1 + scratch_rows(n - n2);
+    return first > second ? first : second;
+}
+
+/* dist[j] = Euclidean distance from frame a to frame j of b, for j < m. */
+static void distances(const double *a, const double *bt, int64_t m, int64_t dim, double *dist,
+                      double *tmp)
+{
+    sq_dists(a, bt, m, dim, dist, tmp);
+    for (int64_t j = 0; j < m; j++)
+        dist[j] = sqrt(dist[j]);
 }
 
 /* a is n x dim, b is m x dim, both C-contiguous. rows and cols need room
@@ -53,43 +90,47 @@ static double sq_dist(const double *a, const double *b, int64_t n)
 int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, int64_t dim,
                         int64_t *rows, int64_t *cols, double *cost)
 {
-    double *acc = malloc(2 * (size_t)m * sizeof(double));
+    size_t words = (size_t)m * (size_t)(3 + dim + scratch_rows(dim));
+    double *acc = malloc(words * sizeof(double));
     unsigned char *move = malloc((size_t)n * (size_t)m);
     if (acc == NULL || move == NULL) {
         free(acc);
         free(move);
         return -1;
     }
-    double *above = acc, *row = acc + m;
-    row[0] = 2.0 * sqrt(sq_dist(a, b, dim));
+    double *above = acc, *row = acc + m, *dist = acc + 2 * m, *bt = acc + 3 * m;
+    double *tmp = bt + dim * m;
+    for (int64_t j = 0; j < m; j++)
+        for (int64_t k = 0; k < dim; k++)
+            bt[k * m + j] = b[j * dim + k];
+    distances(a, bt, m, dim, dist, tmp);
+    row[0] = 2.0 * dist[0];
     move[0] = 0;
     for (int64_t j = 1; j < m; j++) {
-        row[j] = row[j - 1] + sqrt(sq_dist(a, b + j * dim, dim));
+        row[j] = row[j - 1] + dist[j];
         move[j] = HORIZ;
     }
     for (int64_t i = 1; i < n; i++) {
         double *swap = above;
         above = row;
         row = swap;
-        const double *ai = a + i * dim;
+        distances(a + i * dim, bt, m, dim, dist, tmp);
         unsigned char *moves = move + i * m;
-        row[0] = above[0] + sqrt(sq_dist(ai, b, dim));
+        row[0] = above[0] + dist[0];
         moves[0] = VERT;
         for (int64_t j = 1; j < m; j++) {
-            double c = sqrt(sq_dist(ai, b + j * dim, dim));
+            double c = dist[j];
             double diag = above[j - 1] + 2.0 * c;
             double vert = above[j] + c;
             double horiz = row[j - 1] + c;
-            if (diag <= vert && diag <= horiz) {
-                row[j] = diag;
-                moves[j] = DIAG;
-            } else if (vert <= horiz) {
-                row[j] = vert;
-                moves[j] = VERT;
-            } else {
-                row[j] = horiz;
-                moves[j] = HORIZ;
-            }
+            /* Diagonal, else vertical, else horizontal, as the Python
+             * recurrence's if/elif/else picks them, NaN included, but
+             * chosen without branches. */
+            int take_diag = (diag <= vert) & (diag <= horiz);
+            int take_vert = vert <= horiz;
+            double side = take_vert ? vert : horiz;
+            row[j] = take_diag ? diag : side;
+            moves[j] = take_diag ? DIAG : take_vert ? VERT : HORIZ;
         }
     }
     *cost = row[m - 1];

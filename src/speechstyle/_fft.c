@@ -1,0 +1,468 @@
+/* Power-of-two real FFTs, bit-identical to numpy.fft's rfft and irfft.
+ *
+ * numpy >= 2.0 computes rfft and irfft with pocketfft's rfftp. For a
+ * power-of-two size that runs radix-4 passes, with one radix-2 pass
+ * moved to the front of the factor list when the exponent is odd, and
+ * takes its twiddles from the sincos_2pibyn table. This file copies
+ * those passes, that factor order and that table, operation for
+ * operation. Each pass runs on two frames at once in GCC vector lanes,
+ * so every lane does numpy's scalar IEEE operations in numpy's order.
+ *
+ * Build (with _dtw.c): cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared ... -lm
+ * Every buffer is allocated per call and nothing is global, so threads
+ * may call these functions at once.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef double v2 __attribute__((vector_size(16)));
+
+/* A size of 2^62 has 32 factors. */
+#define MAX_FACTORS 32
+
+struct plan {
+    int64_t n, nf;
+    int64_t fct[MAX_FACTORS];
+    const double *tw[MAX_FACTORS];
+    double *mem;
+};
+
+/* pocketfft's sincos_2pibyn::calc: (cos, sin) of 2 pi x / n from the first octant. */
+static void calc(size_t x, size_t n, double ang, double *re, double *im)
+{
+    x <<= 3;
+    if (x < 4 * n) {
+        if (x < 2 * n) {
+            if (x < n) {
+                *re = cos((double)x * ang), *im = sin((double)x * ang);
+            } else {
+                *re = sin((double)(2 * n - x) * ang), *im = cos((double)(2 * n - x) * ang);
+            }
+        } else {
+            x -= 2 * n;
+            if (x < n) {
+                *re = -sin((double)x * ang), *im = cos((double)x * ang);
+            } else {
+                *re = -cos((double)(2 * n - x) * ang), *im = sin((double)(2 * n - x) * ang);
+            }
+        }
+    } else {
+        x = 8 * n - x;
+        if (x < 2 * n) {
+            if (x < n) {
+                *re = cos((double)x * ang), *im = -sin((double)x * ang);
+            } else {
+                *re = sin((double)(2 * n - x) * ang), *im = -cos((double)(2 * n - x) * ang);
+            }
+        } else {
+            x -= 2 * n;
+            if (x < n) {
+                *re = -sin((double)x * ang), *im = -cos((double)x * ang);
+            } else {
+                *re = -cos((double)(2 * n - x) * ang), *im = -sin((double)(2 * n - x) * ang);
+            }
+        }
+    }
+}
+
+/* Factors and twiddles of size n, a power of two, as pocketfft's rfftp
+ * constructor makes them; returns 0, or -1 if memory is short. */
+static int make_plan(struct plan *p, int64_t n)
+{
+    p->n = n;
+    p->nf = 0;
+    p->mem = NULL;
+    int64_t len = n;
+    for (; len % 4 == 0; len >>= 2)
+        p->fct[p->nf++] = 4;
+    if (len % 2 == 0) {
+        /* A lone 2 goes to the front, and the 4 it displaces to the back. */
+        p->fct[p->nf] = p->nf > 0 ? 4 : 2;
+        p->fct[0] = 2;
+        p->nf++;
+    }
+    size_t words = 0;
+    for (int64_t k = 0, l1 = 1; k + 1 < p->nf; l1 *= p->fct[k], k++)
+        words += (size_t)(p->fct[k] - 1) * (size_t)(n / (l1 * p->fct[k]) - 1);
+    if (words == 0)
+        return 0;
+
+    /* The sincos_2pibyn table: twid[idx] = v1[idx & mask] * v2[idx >> shift]. */
+    const long double pi = 3.141592653589793238462643383279502884197L;
+    double ang = (double)(0.25L * pi / (long double)n);
+    size_t nval = ((size_t)n + 2) / 2, shift = 1;
+    while (((size_t)1 << shift) * ((size_t)1 << shift) < nval)
+        shift++;
+    size_t mask = ((size_t)1 << shift) - 1, n2 = (nval + mask) / (mask + 1);
+    double *v1 = malloc(2 * (mask + 1 + n2) * sizeof(double));
+    p->mem = malloc(words * sizeof(double));
+    if (v1 == NULL || p->mem == NULL) {
+        free(v1);
+        free(p->mem);
+        return -1;
+    }
+    double *v2t = v1 + 2 * (mask + 1);
+    v1[0] = v2t[0] = 1.0;
+    v1[1] = v2t[1] = 0.0;
+    for (size_t i = 1; i <= mask; i++)
+        calc(i, (size_t)n, ang, &v1[2 * i], &v1[2 * i + 1]);
+    for (size_t i = 1; i < n2; i++)
+        calc(i * (mask + 1), (size_t)n, ang, &v2t[2 * i], &v2t[2 * i + 1]);
+
+    double *ptr = p->mem;
+    for (int64_t k = 0, l1 = 1; k + 1 < p->nf; l1 *= p->fct[k], k++) {
+        int64_t ip = p->fct[k], ido = n / (l1 * ip);
+        p->tw[k] = ptr;
+        for (int64_t j = 1; j < ip; j++) {
+            for (int64_t i = 1; i <= (ido - 1) / 2; i++) {
+                /* Every index here is below n / 2, so no conjugate is taken. */
+                size_t idx = (size_t)(j * l1 * i);
+                const double *x1 = v1 + 2 * (idx & mask), *x2 = v2t + 2 * (idx >> shift);
+                ptr[(j - 1) * (ido - 1) + 2 * i - 2] = x1[0] * x2[0] - x1[1] * x2[1];
+                ptr[(j - 1) * (ido - 1) + 2 * i - 1] = x1[0] * x2[1] + x1[1] * x2[0];
+            }
+        }
+        ptr += (ip - 1) * (ido - 1);
+    }
+    free(v1);
+    return 0;
+}
+
+#define WA(x, i) wa[(i) + (x) * (ido - 1)]
+#define PM(a, b, c, d) { a = c + d; b = c - d; }
+/* (a + ib) = conj(c + id) * (e + if) */
+#define MULPM(a, b, c, d, e, f) { a = c * e + d * f; b = c * f - d * e; }
+
+#define CC(a, b, c) cc[(a) + ido * ((b) + l1 * (c))]
+#define CH(a, b, c) ch[(a) + ido * ((b) + cdim * (c))]
+
+static void radf2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
+                  const double *restrict wa)
+{
+    const int64_t cdim = 2;
+    for (int64_t k = 0; k < l1; k++)
+        PM(CH(0, 0, k), CH(ido - 1, 1, k), CC(0, k, 0), CC(0, k, 1));
+    if ((ido & 1) == 0) {
+        for (int64_t k = 0; k < l1; k++) {
+            CH(0, 1, k) = -CC(ido - 1, k, 1);
+            CH(ido - 1, 0, k) = CC(ido - 1, k, 0);
+        }
+    }
+    if (ido <= 2)
+        return;
+    for (int64_t k = 0; k < l1; k++) {
+        for (int64_t i = 2; i < ido; i += 2) {
+            int64_t ic = ido - i;
+            v2 tr2, ti2;
+            MULPM(tr2, ti2, WA(0, i - 2), WA(0, i - 1), CC(i - 1, k, 1), CC(i, k, 1));
+            PM(CH(i - 1, 0, k), CH(ic - 1, 1, k), CC(i - 1, k, 0), tr2);
+            PM(CH(i, 0, k), CH(ic, 1, k), ti2, CC(i, k, 0));
+        }
+    }
+}
+
+static void radf4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
+                  const double *restrict wa)
+{
+    const int64_t cdim = 4;
+    const double hsqt2 = (double)0.707106781186547524400844362104849L;
+    for (int64_t k = 0; k < l1; k++) {
+        v2 tr1, tr2;
+        PM(tr1, CH(0, 2, k), CC(0, k, 3), CC(0, k, 1));
+        PM(tr2, CH(ido - 1, 1, k), CC(0, k, 0), CC(0, k, 2));
+        PM(CH(0, 0, k), CH(ido - 1, 3, k), tr2, tr1);
+    }
+    if ((ido & 1) == 0) {
+        for (int64_t k = 0; k < l1; k++) {
+            v2 ti1 = -hsqt2 * (CC(ido - 1, k, 1) + CC(ido - 1, k, 3));
+            v2 tr1 = hsqt2 * (CC(ido - 1, k, 1) - CC(ido - 1, k, 3));
+            PM(CH(ido - 1, 0, k), CH(ido - 1, 2, k), CC(ido - 1, k, 0), tr1);
+            PM(CH(0, 3, k), CH(0, 1, k), ti1, CC(ido - 1, k, 2));
+        }
+    }
+    if (ido <= 2)
+        return;
+    for (int64_t k = 0; k < l1; k++) {
+        for (int64_t i = 2; i < ido; i += 2) {
+            int64_t ic = ido - i;
+            v2 ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
+            MULPM(cr2, ci2, WA(0, i - 2), WA(0, i - 1), CC(i - 1, k, 1), CC(i, k, 1));
+            MULPM(cr3, ci3, WA(1, i - 2), WA(1, i - 1), CC(i - 1, k, 2), CC(i, k, 2));
+            MULPM(cr4, ci4, WA(2, i - 2), WA(2, i - 1), CC(i - 1, k, 3), CC(i, k, 3));
+            PM(tr1, tr4, cr4, cr2);
+            PM(ti1, ti4, ci2, ci4);
+            PM(tr2, tr3, CC(i - 1, k, 0), cr3);
+            PM(ti2, ti3, CC(i, k, 0), ci3);
+            PM(CH(i - 1, 0, k), CH(ic - 1, 3, k), tr2, tr1);
+            PM(CH(i, 0, k), CH(ic, 3, k), ti1, ti2);
+            PM(CH(i - 1, 2, k), CH(ic - 1, 1, k), tr3, ti4);
+            PM(CH(i, 2, k), CH(ic, 1, k), tr4, ti3);
+        }
+    }
+}
+
+#undef CC
+#undef CH
+#define CC(a, b, c) cc[(a) + ido * ((b) + cdim * (c))]
+#define CH(a, b, c) ch[(a) + ido * ((b) + l1 * (c))]
+
+static void radb2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
+                  const double *restrict wa)
+{
+    const int64_t cdim = 2;
+    for (int64_t k = 0; k < l1; k++)
+        PM(CH(0, k, 0), CH(0, k, 1), CC(0, 0, k), CC(ido - 1, 1, k));
+    if ((ido & 1) == 0) {
+        for (int64_t k = 0; k < l1; k++) {
+            CH(ido - 1, k, 0) = 2.0 * CC(ido - 1, 0, k);
+            CH(ido - 1, k, 1) = -2.0 * CC(0, 1, k);
+        }
+    }
+    if (ido <= 2)
+        return;
+    for (int64_t k = 0; k < l1; k++) {
+        for (int64_t i = 2; i < ido; i += 2) {
+            int64_t ic = ido - i;
+            v2 ti2, tr2;
+            PM(CH(i - 1, k, 0), tr2, CC(i - 1, 0, k), CC(ic - 1, 1, k));
+            PM(ti2, CH(i, k, 0), CC(i, 0, k), CC(ic, 1, k));
+            MULPM(CH(i, k, 1), CH(i - 1, k, 1), WA(0, i - 2), WA(0, i - 1), ti2, tr2);
+        }
+    }
+}
+
+static void radb4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
+                  const double *restrict wa)
+{
+    const int64_t cdim = 4;
+    const double sqrt2 = (double)1.414213562373095048801688724209698L;
+    for (int64_t k = 0; k < l1; k++) {
+        v2 tr1, tr2;
+        PM(tr2, tr1, CC(0, 0, k), CC(ido - 1, 3, k));
+        v2 tr3 = 2.0 * CC(ido - 1, 1, k);
+        v2 tr4 = 2.0 * CC(0, 2, k);
+        PM(CH(0, k, 0), CH(0, k, 2), tr2, tr3);
+        PM(CH(0, k, 3), CH(0, k, 1), tr1, tr4);
+    }
+    if ((ido & 1) == 0) {
+        for (int64_t k = 0; k < l1; k++) {
+            v2 tr1, tr2, ti1, ti2;
+            PM(ti1, ti2, CC(0, 3, k), CC(0, 1, k));
+            PM(tr2, tr1, CC(ido - 1, 0, k), CC(ido - 1, 2, k));
+            CH(ido - 1, k, 0) = tr2 + tr2;
+            CH(ido - 1, k, 1) = sqrt2 * (tr1 - ti1);
+            CH(ido - 1, k, 2) = ti2 + ti2;
+            CH(ido - 1, k, 3) = -sqrt2 * (tr1 + ti1);
+        }
+    }
+    if (ido <= 2)
+        return;
+    for (int64_t k = 0; k < l1; k++) {
+        for (int64_t i = 2; i < ido; i += 2) {
+            int64_t ic = ido - i;
+            v2 ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
+            PM(tr2, tr1, CC(i - 1, 0, k), CC(ic - 1, 3, k));
+            PM(ti1, ti2, CC(i, 0, k), CC(ic, 3, k));
+            PM(tr4, ti3, CC(i, 2, k), CC(ic, 1, k));
+            PM(tr3, ti4, CC(i - 1, 2, k), CC(ic - 1, 1, k));
+            PM(CH(i - 1, k, 0), cr3, tr2, tr3);
+            PM(CH(i, k, 0), ci3, ti2, ti3);
+            PM(cr4, cr2, tr1, tr4);
+            PM(ci2, ci4, ti1, ti4);
+            MULPM(CH(i, k, 1), CH(i - 1, k, 1), WA(0, i - 2), WA(0, i - 1), ci2, cr2);
+            MULPM(CH(i, k, 2), CH(i - 1, k, 2), WA(1, i - 2), WA(1, i - 1), ci3, cr3);
+            MULPM(CH(i, k, 3), CH(i - 1, k, 3), WA(2, i - 2), WA(2, i - 1), ci4, cr4);
+        }
+    }
+}
+
+/* rfftp::forward on the n values in c, with ch as scratch: the factors
+ * last to first. Returns the buffer that holds the FFTPACK-order result
+ * r0, R1, I1, ..., R(n/2) (numpy's forward norm factor is 1). */
+static v2 *forward(const struct plan *p, v2 *c, v2 *ch)
+{
+    for (int64_t k = p->nf - 1, l1 = p->n; k >= 0; k--) {
+        int64_t ip = p->fct[k], ido = p->n / l1;
+        l1 /= ip;
+        if (ip == 4)
+            radf4(ido, l1, c, ch, p->tw[k]);
+        else
+            radf2(ido, l1, c, ch, p->tw[k]);
+        v2 *t = c;
+        c = ch;
+        ch = t;
+    }
+    return c;
+}
+
+/* rfftp::backward on the FFTPACK-order values in c, the factors first to
+ * last, without the norm factor; returns the buffer holding the result. */
+static v2 *backward(const struct plan *p, v2 *c, v2 *ch)
+{
+    for (int64_t k = 0, l1 = 1; k < p->nf; l1 *= p->fct[k], k++) {
+        int64_t ip = p->fct[k], ido = p->n / (ip * l1);
+        if (ip == 4)
+            radb4(ido, l1, c, ch, p->tw[k]);
+        else
+            radb2(ido, l1, c, ch, p->tw[k]);
+        v2 *t = c;
+        c = ch;
+        ch = t;
+    }
+    return c;
+}
+
+/* The plan of size n and two n-point buffers of frame pairs, or NULL. */
+static v2 *start(struct plan *p, int64_t n)
+{
+    if (make_plan(p, n) != 0)
+        return NULL;
+    v2 *buf = malloc(2 * (size_t)n * sizeof(v2));
+    if (buf == NULL)
+        free(p->mem);
+    return buf;
+}
+
+static void finish(struct plan *p, v2 *buf)
+{
+    free(p->mem);
+    free(buf);
+}
+
+/* Frames r and r + 1 of x (frame r + 1 is frame r again past the last
+ * row) side by side in c's lanes: len samples, each times window[t]
+ * when a window is given, as numpy multiplies them, then zeros up to n. */
+static void load(v2 *c, const double *x, int64_t r, int64_t rows, int64_t len, int64_t row_step,
+                 int64_t col_step, const double *window, int64_t n)
+{
+    const double *x0 = x + r * row_step, *x1 = r + 1 < rows ? x0 + row_step : x0;
+    for (int64_t t = 0; t < len; t++) {
+        v2 v = {x0[t * col_step], x1[t * col_step]};
+        c[t] = window ? v * window[t] : v;
+    }
+    for (int64_t t = len; t < n; t++)
+        c[t] = (v2){0.0, 0.0};
+}
+
+/* Bin k of the forward result r in FFTPACK order, as numpy unpacks it:
+ * bins 0 and n/2 get the imaginary part 0. */
+static void bin(const v2 *r, int64_t n, int64_t k, v2 *re, v2 *im)
+{
+    *re = k == 0 ? r[0] : 2 * k == n ? r[n - 1] : r[2 * k - 1];
+    *im = k == 0 || 2 * k == n ? (v2){0.0, 0.0} : r[2 * k];
+}
+
+/* Lane 0 of v to out[r * width + k], lane 1 to row r + 1 if it exists. */
+static void store(double *out, int64_t r, int64_t rows, int64_t width, int64_t k, v2 v)
+{
+    out[r * width + k] = v[0];
+    if (r + 1 < rows)
+        out[(r + 1) * width + k] = v[1];
+}
+
+/* The frames below are x[r * row_step + t * col_step] for r < rows and
+ * t < len, with len <= n. Each function returns 0, or -1 if scratch
+ * memory is short. */
+
+/* np.fft.rfft(frames, n): out is rows x (n/2 + 1) complex, as (re, im). */
+int64_t speechstyle_rfft(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                         int64_t col_step, int64_t n, double *out)
+{
+    struct plan p;
+    v2 *buf = start(&p, n);
+    if (buf == NULL)
+        return -1;
+    const int64_t width = 2 * (n / 2 + 1);
+    for (int64_t r = 0; r < rows; r += 2) {
+        load(buf, x, r, rows, len, row_step, col_step, NULL, n);
+        const v2 *res = forward(&p, buf, buf + n);
+        for (int64_t k = 0; k <= n / 2; k++) {
+            v2 re, im;
+            bin(res, n, k, &re, &im);
+            store(out, r, rows, width, 2 * k, re);
+            store(out, r, rows, width, 2 * k + 1, im);
+        }
+    }
+    finish(&p, buf);
+    return 0;
+}
+
+/* np.fft.irfft(spectra, n) of rows x (n/2 + 1) complex spectra, given as
+ * (re, im): out is rows x n. As in numpy, the imaginary parts of bin 0
+ * and bin n/2 are not read. */
+int64_t speechstyle_irfft(const double *spectra, int64_t rows, int64_t n, double *out)
+{
+    struct plan p;
+    v2 *buf = start(&p, n);
+    if (buf == NULL)
+        return -1;
+    const double fct = 1.0 / (double)n;
+    const int64_t width = 2 * (n / 2 + 1);
+    for (int64_t r = 0; r < rows; r += 2) {
+        const double *s0 = spectra + r * width, *s1 = r + 1 < rows ? s0 + width : s0;
+        for (int64_t t = 0; t < n; t++) {
+            /* FFTPACK order: re0, re1, im1, ..., re(n/2) sit at 0, 1, 2, ..., n - 1. */
+            int64_t at = t == 0 ? 0 : t + 1;
+            buf[t] = (v2){s0[at], s1[at]};
+        }
+        const v2 *res = backward(&p, buf, buf + n);
+        for (int64_t t = 0; t < n; t++)
+            store(out, r, rows, n, t, fct * res[t]);
+    }
+    finish(&p, buf);
+    return 0;
+}
+
+/* The windowed power spectra of _cepstra: with X = rfft(frames * window, n),
+ * out is rows x (n/2 + 1), (re * re + im * im) / n per bin. */
+int64_t speechstyle_power_spectra(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                  int64_t col_step, const double *window, int64_t n, double *out)
+{
+    struct plan p;
+    v2 *buf = start(&p, n);
+    if (buf == NULL)
+        return -1;
+    for (int64_t r = 0; r < rows; r += 2) {
+        load(buf, x, r, rows, len, row_step, col_step, window, n);
+        const v2 *res = forward(&p, buf, buf + n);
+        for (int64_t k = 0; k <= n / 2; k++) {
+            v2 re, im;
+            bin(res, n, k, &re, &im);
+            store(out, r, rows, n / 2 + 1, k, (re * re + im * im) / (double)n);
+        }
+    }
+    finish(&p, buf);
+    return 0;
+}
+
+/* The autocorrelation of _autocorrelate at lags 0..lags-1 (lags <= n):
+ * with X = rfft(frames, n), irfft(re * re + im * im, n) * (1 / n). */
+int64_t speechstyle_autocorrelation(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                    int64_t col_step, int64_t n, int64_t lags, double *out)
+{
+    struct plan p;
+    v2 *buf = start(&p, n);
+    if (buf == NULL)
+        return -1;
+    const double fct = 1.0 / (double)n;
+    for (int64_t r = 0; r < rows; r += 2) {
+        load(buf, x, r, rows, len, row_step, col_step, NULL, n);
+        v2 *res = forward(&p, buf, buf + n);
+        v2 *power = res == buf ? buf + n : buf;
+        /* irfft's FFTPACK input: each bin's power as its real part, 0 as
+         * the imaginary part of bins 1..n/2-1. */
+        for (int64_t k = 0; k <= n / 2; k++) {
+            v2 re, im;
+            bin(res, n, k, &re, &im);
+            power[k == 0 ? 0 : 2 * k - 1] = re * re + im * im;
+            if (k > 0 && 2 * k < n)
+                power[2 * k] = (v2){0.0, 0.0};
+        }
+        const v2 *ac = backward(&p, power, res);
+        for (int64_t t = 0; t < lags; t++)
+            store(out, r, rows, lags, t, fct * ac[t]);
+    }
+    finish(&p, buf);
+    return 0;
+}

@@ -14,15 +14,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _native
 from .audio import AudioClip
 from .errors import ClipTooShort
 
 # Floors keep log() away from zero without disturbing ordinary frames.
 _ENERGY_FLOOR = 1e-12
 STRESS_FLOOR_DB = -120.0
-# Values per FFT call or row reduction (rows x row length), so that a
-# clip's temporaries stay small: 8 frames of the 4096-point pitch FFT at
-# 44.1 kHz, 32 frames of the 1024-point one at 16 kHz.
+# Values per numpy FFT call (where the compiled kernels are unavailable)
+# or row reduction (rows x row length), so that a clip's temporaries stay
+# small: 8 frames of the 4096-point pitch FFT at 44.1 kHz, 32 frames of
+# the 1024-point one at 16 kHz.
 _BLOCK_POINTS = 1 << 15
 
 
@@ -227,17 +229,41 @@ def _dct2_ortho(x: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cepstra(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
-    """Mel cepstra of pre-emphasized frames, Hamming-windowed here block by block."""
-    rows, win = frames.shape
-    n_fft = _next_pow2(win)
-    window = np.hamming(win)
+def _kernel_for(frames: np.ndarray):
+    """The compiled kernels if they can read frames in place, else None (numpy runs)."""
+    if frames.dtype != np.float64 or not frames.flags.aligned:
+        return None
+    return _native._load_kernel()
+
+
+def _frame_args(frames: np.ndarray) -> tuple[int, ...]:
+    """A frame array as the kernels take it: pointer, rows, length and both steps in values."""
+    return (frames.ctypes.data, *frames.shape, *(stride // 8 for stride in frames.strides))
+
+
+def _power_spectra(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.ndarray:
+    """|rfft(frames * window, n_fft)|^2 / n_fft per row, from the kernel or numpy, equal bit for bit."""
+    rows = frames.shape[0]
     power = np.empty((rows, n_fft // 2 + 1))
+    kernel = _kernel_for(frames)
+    if kernel is not None:
+        if kernel.speechstyle_power_spectra(
+            *_frame_args(frames), window.ctypes.data, n_fft, power.ctypes.data
+        ) < 0:
+            raise MemoryError(f"no memory for {n_fft}-point FFTs")
+        return power
     for block in _row_blocks(rows, n_fft):
         spectrum = np.fft.rfft(frames[block] * window, n_fft, axis=1)
         np.square(spectrum.real, out=power[block])
         power[block] += spectrum.imag**2
     power /= n_fft
+    return power
+
+
+def _cepstra(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
+    """Mel cepstra of pre-emphasized frames, Hamming-windowed on the way into the FFT."""
+    n_fft = _next_pow2(frames.shape[1])
+    power = _power_spectra(frames, np.hamming(frames.shape[1]), n_fft)
     bank = _mel_filterbank(sample_rate, n_fft, cfg.n_filters)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
@@ -256,6 +282,23 @@ def _autocorrelate(frames: np.ndarray) -> np.ndarray:
     return np.fft.irfft(power, size, axis=1)[:, :n]
 
 
+def _autocorrelation(frames: np.ndarray, lags: int) -> np.ndarray:
+    """_autocorrelate's lags 0..lags-1 of each row, from the kernel or numpy, equal bit for bit."""
+    rows, n = frames.shape
+    size = _next_pow2(2 * n)
+    ac = np.empty((rows, lags))
+    kernel = _kernel_for(frames)
+    if kernel is not None:
+        if kernel.speechstyle_autocorrelation(
+            *_frame_args(frames), size, lags, ac.ctypes.data
+        ) < 0:
+            raise MemoryError(f"no memory for {size}-point FFTs")
+        return ac
+    for block in _row_blocks(rows, size):
+        ac[block] = _autocorrelate(frames[block])[:, :lags]
+    return ac
+
+
 def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
     """Per-frame f0 via the normalized autocorrelation peak; NaN = unvoiced."""
     rows, n = frames.shape
@@ -264,16 +307,12 @@ def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.n
     lag_max = min(int(np.floor(sample_rate / cfg.pitch_fmin)), n - 2)
     if lag_max < lag_min:
         return out
-    r0 = np.empty(rows)
-    peak_lag = np.empty(rows, dtype=np.intp)
+    # Refinement reads one lag either side of the peak, so up to lag_max + 1.
+    ac = _autocorrelation(frames, lag_max + 2)
+    peak_lag = np.argmax(ac[:, lag_min : lag_max + 1], axis=1) + lag_min
+    r0 = ac[:, 0]
     # The autocorrelation at the peak lag and its two neighbours.
-    around = np.empty((rows, 3))
-    for block in _row_blocks(rows, _next_pow2(2 * n)):
-        ac = _autocorrelate(frames[block])
-        lags = np.argmax(ac[:, lag_min : lag_max + 1], axis=1) + lag_min
-        r0[block] = ac[:, 0]
-        peak_lag[block] = lags
-        around[block] = ac[np.arange(len(ac))[:, np.newaxis], lags[:, np.newaxis] + (-1, 0, 1)]
+    around = ac[np.arange(rows)[:, np.newaxis], peak_lag[:, np.newaxis] + (-1, 0, 1)]
     peak = around[:, 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         voiced = (r0 > 0) & (peak / np.where(r0 > 0, r0, 1.0) >= cfg.voicing_threshold)

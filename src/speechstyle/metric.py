@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import binascii
 import ctypes
-import functools
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigMismatch, DimensionMismatch
 from .features import FeatureBundle
 
@@ -83,64 +78,13 @@ class AlignmentPath:
         return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_dtw.c")
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
-
-
-def _build_kernel() -> Path:
-    """Compile _dtw.c into the user cache once per source and flag set."""
-    # A CRC-32 names the object: a digest from OpenSSL would map that library into every job.
-    key = binascii.crc32(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "speechstyle"
-    target = cache / f"dtw-{key:08x}.so"
-    if target.exists():
-        return target
-    import subprocess  # only a cold cache compiles
-
-    cache.mkdir(parents=True, exist_ok=True)
-    # A per-process, per-thread name plus an atomic rename: concurrent
-    # builds never load a half-written object.
-    partial = cache / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        done = subprocess.run(
-            ["cc", *_KERNEL_FLAGS, "-o", str(partial), str(_KERNEL_SOURCE), "-lm"],
-            capture_output=True,
-            text=True,
-        )
-        if done.returncode != 0:
-            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
-        os.replace(partial, target)
-    finally:
-        partial.unlink(missing_ok=True)
-    return target
-
-
-@functools.cache
-def _load_kernel():
-    """The compiled alignment function, or None after one RuntimeWarning."""
-    try:
-        kernel = ctypes.CDLL(str(_build_kernel())).speechstyle_dtw
-    except (OSError, AttributeError) as exc:
-        warnings.warn(
-            f"compiled DTW kernel unavailable ({exc}); using the pure-Python recurrence",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    pointer = ctypes.c_void_p
-    kernel.argtypes = [pointer, pointer, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                       pointer, pointer, pointer]
-    kernel.restype = ctypes.c_int64
-    return kernel
-
-
 def _align_kernel(kernel, a: np.ndarray, b: np.ndarray) -> AlignmentPath:
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
     n, m = a.shape[0], b.shape[0]
     path = np.empty((2, n + m - 1), dtype=np.int64)
     cost = ctypes.c_double()
-    length = kernel(
+    length = kernel.speechstyle_dtw(
         a.ctypes.data, b.ctypes.data, n, m, a.shape[1],
         path.ctypes.data, path[1].ctypes.data, ctypes.byref(cost),
     )
@@ -225,7 +169,7 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
         raise DimensionMismatch(
             f"tracks have {a.shape[1]} and {b.shape[1]} coefficients per frame"
         )
-    kernel = _load_kernel()
+    kernel = _native._load_kernel()
     if kernel is None:
         return _align_python(a, b)
     return _align_kernel(kernel, a, b)

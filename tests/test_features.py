@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechstyle import (
+    SUPPORTED_RATES,
     AudioClip,
     FrameConfig,
+    _native,
     estimate_pitch,
     extract_features,
     stress_contour,
@@ -120,6 +122,18 @@ def test_pitch_white_noise_is_unvoiced():
     peak = np.max(full[lag_min : lag_max + 1]) / full[0]
     assert peak < CFG.voicing_threshold
     assert estimate_pitch(frame, 16000, CFG) is None
+
+
+def test_pitch_peak_between_one_quarter_and_the_threshold_is_unvoiced():
+    # An impulse and an echo of height a at lag 100 (160 Hz): every other
+    # lag is 0, so the normalised peak is a / (1 + a^2) = 0.275.
+    frame = np.zeros(400)
+    frame[0], frame[100] = 1.0, 0.3
+    ac = np.correlate(frame, frame, mode="full")[frame.size - 1 :]
+    assert 0.25 < np.max(ac[32:321]) / ac[0] < 0.3
+    assert CFG.voicing_threshold == 0.3
+    assert estimate_pitch(frame, 16000, CFG) is None
+    assert estimate_pitch(frame, 16000, dataclasses.replace(CFG, voicing_threshold=0.25)) is not None
 
 
 def test_pitch_short_frame_skips_out_of_range_lags():
@@ -301,3 +315,45 @@ def test_dct2_matches_scipy_bit_for_bit(n, rows, scale, seed):
     got = _dct2_ortho(x)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def numpy_only(monkeypatch):
+    """Runs the code under test on numpy's FFTs, as where no kernel can be built."""
+    def use_numpy():
+        monkeypatch.setattr(_native, "_load_kernel", lambda: None)
+
+    return use_numpy
+
+
+@pytest.mark.parametrize("sample_rate", SUPPORTED_RATES)
+def test_kernel_cepstra_and_pitch_equal_numpy_on_sliding_frames(sample_rate, numpy_only):
+    frames = [_overlapping_frames(rows, sample_rate)[0] for rows in (1, 2, 5, 40)]
+    assert all(not f.flags.c_contiguous for f in frames[1:])
+    kernel = [(_cepstra(f, sample_rate, CFG), _pitch_batch(f, sample_rate, CFG)) for f in frames]
+    numpy_only()
+    for f, (cepstra, pitch) in zip(frames, kernel):
+        assert cepstra.tobytes() == _cepstra(f, sample_rate, CFG).tobytes()
+        assert pitch.tobytes() == _pitch_batch(f, sample_rate, CFG).tobytes()
+        assert (~np.isnan(pitch)).any()
+
+
+def test_pitch_of_a_strided_frame_equals_its_contiguous_copy():
+    x = 0.6 * np.sin(2 * np.pi * 110.0 * np.arange(800) / 32000)
+    x += 0.05 * np.random.default_rng(6).standard_normal(800)
+    f0 = estimate_pitch(x[::2], 16000, CFG)
+    assert f0 is not None
+    assert f0 == estimate_pitch(np.ascontiguousarray(x[::2]), 16000, CFG)
+    assert f0 == estimate_pitch(x[::2].tolist(), 16000, CFG)
+
+
+@pytest.mark.parametrize("window_ms", [0.125, 0.25, 0.5])
+def test_one_to_four_sample_windows_equal_numpy(window_ms, numpy_only):
+    # At 8 kHz these windows are 1, 2 and 4 samples: FFTs of 1, 2 and 4 points.
+    cfg = FrameConfig(window_ms=window_ms, hop_ms=window_ms)
+    clip = AudioClip(np.random.default_rng(8).uniform(-0.5, 0.5, 64), 8000)
+    kernel = extract_features(clip, cfg)
+    numpy_only()
+    expected = extract_features(clip, cfg)
+    for track in ("spectral", "pitch", "stress"):
+        assert getattr(kernel, track).tobytes() == getattr(expected, track).tobytes()

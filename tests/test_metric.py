@@ -1,9 +1,4 @@
-import ctypes
 import dataclasses
-import re
-import shutil
-import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import brute_force_dtw_cost, make_bundle
-from speechstyle import FrameConfig, compute_triplet, dtw_align, metric
+from speechstyle import FrameConfig, _native, compute_triplet, dtw_align, metric
 from speechstyle.errors import ConfigMismatch, DimensionMismatch
 
 
@@ -103,77 +98,6 @@ def test_dtw_cost_matches_brute_force_on_small_shapes(tracks):
     assert dtw_align(a, b).cost == brute_force_dtw_cost(a.tolist(), b.tolist())
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-def test_compiled_kernel_loads_where_a_compiler_exists():
-    assert metric._load_kernel() is not None
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-def test_concurrent_cold_kernel_builds_in_one_process_all_succeed(monkeypatch, tmp_path):
-    # Threads of one process compile to their own partial files, so
-    # neither overwrites nor renames away the other's object.
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    results, errors = [], []
-
-    def build():
-        try:
-            results.append(metric._build_kernel())
-        except OSError as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=build) for _ in range(3)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(results) == 3 and len(set(results)) == 1
-    assert [p.name for p in (tmp_path / "speechstyle").iterdir()] == [results[0].name]
-    assert ctypes.CDLL(str(results[0])).speechstyle_dtw is not None
-
-
-def test_kernel_object_name_changes_with_the_flags_and_the_source(monkeypatch, tmp_path):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    flags = metric._KERNEL_FLAGS
-    first = metric._build_kernel()
-    assert first.parent == tmp_path / "speechstyle"
-    assert re.fullmatch(r"dtw-[0-9a-f]{8}\.so", first.name)
-    assert metric._build_kernel() == first
-    monkeypatch.setattr(metric, "_KERNEL_FLAGS", (*flags, "-g0"))
-    flagged = metric._build_kernel()
-    monkeypatch.setattr(metric, "_KERNEL_FLAGS", flags)
-    edited = tmp_path / "_dtw.c"
-    edited.write_bytes(metric._KERNEL_SOURCE.read_bytes() + b"\n/* edited */\n")
-    monkeypatch.setattr(metric, "_KERNEL_SOURCE", edited)
-    rebuilt = metric._build_kernel()
-    assert len({first.name, flagged.name, rebuilt.name}) == 3
-    assert all(path.exists() for path in (first, flagged, rebuilt))
-
-
-def test_failed_kernel_build_warns_once_and_falls_back(monkeypatch):
-    rng = np.random.default_rng(32)
-    a, b = rng.normal(size=(15, 13)), rng.normal(size=(11, 13))
-    before = dtw_align(a, b)
-
-    def broken_build():
-        raise OSError("cc exited 1: simulated failure")
-
-    monkeypatch.setattr(metric, "_build_kernel", broken_build)
-    metric._load_kernel.cache_clear()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            paths = [dtw_align(a, b) for _ in range(3)]
-    finally:
-        metric._load_kernel.cache_clear()
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "simulated failure" in str(caught[0].message)
-    for path in paths:
-        assert path.cost == before.cost
-        assert path.pairs == before.pairs
-
-
 def test_dtw_rejects_mismatched_coefficients():
     with pytest.raises(DimensionMismatch):
         dtw_align(np.zeros((3, 4)), np.zeros((3, 5)))
@@ -193,7 +117,7 @@ def test_dtw_rejects_mismatched_coefficients():
 def test_dtw_rejects_tracks_that_are_not_2d(monkeypatch, path, a, b, shapes):
     # A 1-D track once read as one frame and a 3-D one as frames of its second axis only.
     if path == "python":
-        monkeypatch.setattr(metric, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_native, "_load_kernel", lambda: None)
     with pytest.raises(ValueError, match=f"^tracks must be 2-D .*, got shapes {shapes}$"):
         dtw_align(a, b)
 
@@ -249,6 +173,19 @@ def test_triplet_of_a_bundle_with_itself_is_exact(seed, frames, voiced_prob):
     assert t.ir == 1.0
     if np.count_nonzero(~np.isnan(a.pitch)) >= 2:
         assert t.p == 1.0
+
+
+def test_triplet_id_divides_the_path_cost_by_the_summed_frame_counts():
+    # Unequal lengths tell n + m from 2 * max(n, m); the shorter bundle
+    # goes first, the orientation compute_triplet aligns in.
+    rng = np.random.default_rng(33)
+    for n, m in [(3, 8), (10, 11), (1, 20), (17, 40)]:
+        a = make_bundle(rng, n, ceps=13)
+        b = make_bundle(rng, m, ceps=13)
+        cost = dtw_align(a.spectral, b.spectral).cost
+        assert cost > 0
+        assert compute_triplet(a, b).id == cost / (n + m)
+        assert compute_triplet(b, a).id == cost / (n + m)
 
 
 def test_triplet_ranges():

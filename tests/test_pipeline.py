@@ -244,7 +244,8 @@ def test_perfbench_span_names_are_public_functions_of_their_layers():
 
 
 _LAYERS = (
-    "errors", "audio", "corpus", "features", "metric", "reference", "classify", "evaluate", "cli"
+    "_native", "errors", "audio", "corpus", "features", "metric", "reference", "classify",
+    "evaluate", "cli",
 )
 
 
@@ -297,3 +298,14 @@ def test_every_text_file_is_opened_as_utf8():
             utf8 = isinstance(encoding, ast.Constant) and encoding.value == "utf-8"
             assert binary or utf8, f"{path.name}:{call.lineno}"
     assert seen >= 8
+
+
+def test_package_data_ships_every_kernel_source():
+    """An installed package without a kernel source could never build the kernels."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(reference.__file__).parents[2]
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    shipped = set(config["tool"]["setuptools"]["package-data"]["speechstyle"])
+    sources = {p.name for p in (root / "src" / "speechstyle").glob("*.c")}
+    assert sources >= {"_dtw.c", "_fft.c"}
+    assert sources <= shipped, sorted(sources - shipped)
