@@ -85,8 +85,9 @@ static void distances(const double *a, const double *bt, int64_t m, int64_t dim,
 }
 
 /* a is n x dim, b is m x dim, both C-contiguous. rows and cols need room
- * for n + m - 1 entries. Writes the optimal path's frame pairs in order
- * and its cost; returns the path length, or -1 if scratch memory is short. */
+ * for n + m - 1 entries. Writes the optimal path's frame pairs in order,
+ * back to front so that they end at index n + m - 2, and its cost;
+ * returns the index of the first pair, or -1 if scratch memory is short. */
 int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, int64_t dim,
                         int64_t *rows, int64_t *cols, double *cost)
 {
@@ -134,11 +135,11 @@ int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, 
         }
     }
     *cost = row[m - 1];
-    int64_t len = 0, i = n - 1, j = m - 1;
+    int64_t start = n + m - 1, i = n - 1, j = m - 1;
     for (;;) {
-        rows[len] = i;
-        cols[len] = j;
-        len++;
+        start--;
+        rows[start] = i;
+        cols[start] = j;
         unsigned char step = move[i * m + j];
         if (step == DIAG) {
             i--;
@@ -151,15 +152,7 @@ int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, 
             break;
         }
     }
-    for (int64_t lo = 0, hi = len - 1; lo < hi; lo++, hi--) {
-        int64_t t = rows[lo];
-        rows[lo] = rows[hi];
-        rows[hi] = t;
-        t = cols[lo];
-        cols[lo] = cols[hi];
-        cols[hi] = t;
-    }
     free(acc);
     free(move);
-    return len;
+    return start;
 }

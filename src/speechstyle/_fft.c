@@ -1,4 +1,5 @@
-/* Power-of-two real FFTs, bit-identical to numpy.fft's rfft and irfft.
+/* The power spectra and autocorrelations of features.py, from power-of-two
+ * real FFTs bit-identical to numpy.fft's rfft and irfft.
  *
  * numpy >= 2.0 computes rfft and irfft with pocketfft's rfftp. For a
  * power-of-two size that runs radix-4 passes, with one radix-2 pass
@@ -28,40 +29,23 @@ struct plan {
     double *mem;
 };
 
-/* pocketfft's sincos_2pibyn::calc: (cos, sin) of 2 pi x / n from the first octant. */
+/* pocketfft's sincos_2pibyn::calc for x < n / 2: (cos, sin) of 2 pi x / n
+ * from the first octant. make_plan never asks for the second half-turn. */
 static void calc(size_t x, size_t n, double ang, double *re, double *im)
 {
     x <<= 3;
-    if (x < 4 * n) {
-        if (x < 2 * n) {
-            if (x < n) {
-                *re = cos((double)x * ang), *im = sin((double)x * ang);
-            } else {
-                *re = sin((double)(2 * n - x) * ang), *im = cos((double)(2 * n - x) * ang);
-            }
+    if (x < 2 * n) {
+        if (x < n) {
+            *re = cos((double)x * ang), *im = sin((double)x * ang);
         } else {
-            x -= 2 * n;
-            if (x < n) {
-                *re = -sin((double)x * ang), *im = cos((double)x * ang);
-            } else {
-                *re = -cos((double)(2 * n - x) * ang), *im = sin((double)(2 * n - x) * ang);
-            }
+            *re = sin((double)(2 * n - x) * ang), *im = cos((double)(2 * n - x) * ang);
         }
     } else {
-        x = 8 * n - x;
-        if (x < 2 * n) {
-            if (x < n) {
-                *re = cos((double)x * ang), *im = -sin((double)x * ang);
-            } else {
-                *re = sin((double)(2 * n - x) * ang), *im = -cos((double)(2 * n - x) * ang);
-            }
+        x -= 2 * n;
+        if (x < n) {
+            *re = -sin((double)x * ang), *im = cos((double)x * ang);
         } else {
-            x -= 2 * n;
-            if (x < n) {
-                *re = -sin((double)x * ang), *im = -cos((double)x * ang);
-            } else {
-                *re = -cos((double)(2 * n - x) * ang), *im = -sin((double)(2 * n - x) * ang);
-            }
+            *re = -cos((double)(2 * n - x) * ang), *im = sin((double)(2 * n - x) * ang);
         }
     }
 }
@@ -88,13 +72,14 @@ static int make_plan(struct plan *p, int64_t n)
     if (words == 0)
         return 0;
 
-    /* The sincos_2pibyn table: twid[idx] = v1[idx & mask] * v2[idx >> shift]. */
+    /* The sincos_2pibyn table: twid[idx] = v1[idx & mask] * v2[idx >> shift],
+     * built only for the indices below n / 2 that the loop below reads. */
     const long double pi = 3.141592653589793238462643383279502884197L;
     double ang = (double)(0.25L * pi / (long double)n);
     size_t nval = ((size_t)n + 2) / 2, shift = 1;
     while (((size_t)1 << shift) * ((size_t)1 << shift) < nval)
         shift++;
-    size_t mask = ((size_t)1 << shift) - 1, n2 = (nval + mask) / (mask + 1);
+    size_t mask = ((size_t)1 << shift) - 1, n2 = (((size_t)n / 2 - 1) >> shift) + 1;
     double *v1 = malloc(2 * (mask + 1 + n2) * sizeof(double));
     p->mem = malloc(words * sizeof(double));
     if (v1 == NULL || p->mem == NULL) {
@@ -364,55 +349,6 @@ static void store(double *out, int64_t r, int64_t rows, int64_t width, int64_t k
 /* The frames below are x[r * row_step + t * col_step] for r < rows and
  * t < len, with len <= n. Each function returns 0, or -1 if scratch
  * memory is short. */
-
-/* np.fft.rfft(frames, n): out is rows x (n/2 + 1) complex, as (re, im). */
-int64_t speechstyle_rfft(const double *x, int64_t rows, int64_t len, int64_t row_step,
-                         int64_t col_step, int64_t n, double *out)
-{
-    struct plan p;
-    v2 *buf = start(&p, n);
-    if (buf == NULL)
-        return -1;
-    const int64_t width = 2 * (n / 2 + 1);
-    for (int64_t r = 0; r < rows; r += 2) {
-        load(buf, x, r, rows, len, row_step, col_step, NULL, n);
-        const v2 *res = forward(&p, buf, buf + n);
-        for (int64_t k = 0; k <= n / 2; k++) {
-            v2 re, im;
-            bin(res, n, k, &re, &im);
-            store(out, r, rows, width, 2 * k, re);
-            store(out, r, rows, width, 2 * k + 1, im);
-        }
-    }
-    finish(&p, buf);
-    return 0;
-}
-
-/* np.fft.irfft(spectra, n) of rows x (n/2 + 1) complex spectra, given as
- * (re, im): out is rows x n. As in numpy, the imaginary parts of bin 0
- * and bin n/2 are not read. */
-int64_t speechstyle_irfft(const double *spectra, int64_t rows, int64_t n, double *out)
-{
-    struct plan p;
-    v2 *buf = start(&p, n);
-    if (buf == NULL)
-        return -1;
-    const double fct = 1.0 / (double)n;
-    const int64_t width = 2 * (n / 2 + 1);
-    for (int64_t r = 0; r < rows; r += 2) {
-        const double *s0 = spectra + r * width, *s1 = r + 1 < rows ? s0 + width : s0;
-        for (int64_t t = 0; t < n; t++) {
-            /* FFTPACK order: re0, re1, im1, ..., re(n/2) sit at 0, 1, 2, ..., n - 1. */
-            int64_t at = t == 0 ? 0 : t + 1;
-            buf[t] = (v2){s0[at], s1[at]};
-        }
-        const v2 *res = backward(&p, buf, buf + n);
-        for (int64_t t = 0; t < n; t++)
-            store(out, r, rows, n, t, fct * res[t]);
-    }
-    finish(&p, buf);
-    return 0;
-}
 
 /* The windowed power spectra of _cepstra: with X = rfft(frames * window, n),
  * out is rows x (n/2 + 1), (re * re + im * im) / n per bin. */

@@ -17,8 +17,6 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 # Argument types of each exported function; each returns an int64.
 _SIGNATURES = {
     "speechstyle_dtw": (_P, _P, _I, _I, _I, _P, _P, _P),
-    "speechstyle_rfft": (_P, _I, _I, _I, _I, _I, _P),
-    "speechstyle_irfft": (_P, _I, _I, _P),
     "speechstyle_power_spectra": (_P, _I, _I, _I, _I, _P, _I, _P),
     "speechstyle_autocorrelation": (_P, _I, _I, _I, _I, _I, _I, _P),
 }

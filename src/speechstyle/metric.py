@@ -84,13 +84,13 @@ def _align_kernel(kernel, a: np.ndarray, b: np.ndarray) -> AlignmentPath:
     n, m = a.shape[0], b.shape[0]
     path = np.empty((2, n + m - 1), dtype=np.int64)
     cost = ctypes.c_double()
-    length = kernel.speechstyle_dtw(
+    start = kernel.speechstyle_dtw(
         a.ctypes.data, b.ctypes.data, n, m, a.shape[1],
         path.ctypes.data, path[1].ctypes.data, ctypes.byref(cost),
     )
-    if length < 0:
+    if start < 0:
         raise MemoryError(f"no memory to align tracks of {n} and {m} frames")
-    return AlignmentPath(rows=path[0, :length], cols=path[1, :length], cost=cost.value)
+    return AlignmentPath(rows=path[0, start:], cols=path[1, start:], cost=cost.value)
 
 
 def _align_python(a: np.ndarray, b: np.ndarray) -> AlignmentPath:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from speechstyle import AudioClip, FrameConfig, _native, dtw_align, extract_features
+from speechstyle.features import _frame_args
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
@@ -100,37 +101,57 @@ def _kernel():
     return kernel
 
 
-def _rfft(x, n):
-    out = np.empty((x.shape[0], n // 2 + 1), dtype=np.complex128)
-    steps = [s // 8 for s in x.strides]
-    assert _kernel().speechstyle_rfft(x.ctypes.data, *x.shape, *steps, n, out.ctypes.data) == 0
+def _kernel_power_spectra(x, window, n):
+    out = np.empty((x.shape[0], n // 2 + 1))
+    status = _kernel().speechstyle_power_spectra(
+        *_frame_args(x), window.ctypes.data, n, out.ctypes.data
+    )
+    assert status == 0
     return out
 
 
-def _irfft(spectra, n):
-    spectra = np.ascontiguousarray(spectra, dtype=np.complex128)
-    out = np.empty((spectra.shape[0], n))
-    assert _kernel().speechstyle_irfft(spectra.ctypes.data, spectra.shape[0], n, out.ctypes.data) == 0
+def _kernel_autocorrelation(x, n, lags):
+    out = np.empty((x.shape[0], lags))
+    assert _kernel().speechstyle_autocorrelation(*_frame_args(x), n, lags, out.ctypes.data) == 0
     return out
+
+
+# The numpy formulas of the fallbacks in features._power_spectra and
+# features._autocorrelate, at a given FFT size.
+def _numpy_power_spectra(x, window, n):
+    spectrum = np.fft.rfft(x * window, n, axis=1)
+    power = np.square(spectrum.real)
+    power += spectrum.imag**2
+    power /= n
+    return power
+
+
+def _numpy_autocorrelation(x, n, lags):
+    spectrum = np.fft.rfft(x, n, axis=1)
+    power = spectrum.real**2
+    power += spectrum.imag**2
+    return np.fft.irfft(power, n, axis=1)[:, :lags]
+
+
+def _check_both_passes(x, size, rng):
+    length = x.shape[1]
+    window = rng.uniform(size=length)
+    expected = _numpy_power_spectra(x, window, size)
+    assert _kernel_power_spectra(x, window, size).tobytes() == expected.tobytes()
+    lags = min(size, length + 2)
+    expected = _numpy_autocorrelation(x, size, lags)
+    assert _kernel_autocorrelation(x, size, lags).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("size", [1 << e for e in range(15)])
-def test_kernel_rfft_and_irfft_equal_numpy_bit_for_bit(size):
+def test_kernel_power_spectra_and_autocorrelation_equal_numpy_bit_for_bit(size):
     rng = np.random.default_rng(size)
     for rows in range(1, 6):
         for length in sorted({max(size // 3, 1), max(size // 2, 1), size}):
             for scale in (1e-4, 1e-2, 1.0, 1e3):
-                x = rng.normal(scale=scale, size=(rows, length))
-                assert _rfft(x, size).tobytes() == np.fft.rfft(x, size, axis=1).tobytes()
-                bins = size // 2 + 1
-                spectra = rng.normal(scale=scale, size=(rows, bins)) + 1j * rng.normal(
-                    scale=scale, size=(rows, bins)
-                )
-                expected = np.fft.irfft(spectra, size, axis=1)
-                assert _irfft(spectra, size).tobytes() == expected.tobytes()
+                _check_both_passes(rng.normal(scale=scale, size=(rows, length)), size, rng)
     # Strided frames, the columns of a transposed array, are read in place.
-    x = rng.normal(size=(size, 3)).T
-    assert _rfft(x, size).tobytes() == np.fft.rfft(x, size, axis=1).tobytes()
+    _check_both_passes(rng.normal(size=(size, 3)).T, size, rng)
 
 
 def test_kernel_is_reentrant_across_threads():
