@@ -6,6 +6,7 @@ import binascii
 import ctypes
 import functools
 import os
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -51,6 +52,15 @@ def _build_kernel() -> Path:
     return target
 
 
+def _outside_caller_level() -> int:
+    """The stacklevel, seen from its caller, of the nearest frame outside this package."""
+    package = os.path.dirname(__file__)
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @functools.cache
 def _open_kernel():
     try:
@@ -63,7 +73,7 @@ def _open_kernel():
         warnings.warn(
             f"compiled kernels unavailable ({exc}); using numpy's FFTs and the pure-Python DTW",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=_outside_caller_level(),
         )
         return None
     return kernel

@@ -337,6 +337,8 @@ def estimate_pitch(frame: np.ndarray, sample_rate: int, cfg: FrameConfig) -> flo
     that do not fit into the frame are skipped.
     """
     frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1:
+        raise ValueError(f"frame must be 1-D (samples), got shape {frame.shape}")
     f0 = _pitch_batch(frame[np.newaxis, :], sample_rate, cfg)[0]
     return None if np.isnan(f0) else float(f0)
 
@@ -344,6 +346,8 @@ def estimate_pitch(frame: np.ndarray, sample_rate: int, cfg: FrameConfig) -> flo
 def stress_contour(frames: np.ndarray) -> np.ndarray:
     """Log energy in dB per raw frame, floored at -120 dB."""
     frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be 2-D (frames x samples), got shape {frames.shape}")
     mean_square = np.empty(frames.shape[0])
     for block in _row_blocks(*frames.shape):
         mean_square[block] = np.mean(frames[block] ** 2, axis=1)

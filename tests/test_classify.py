@@ -168,6 +168,32 @@ def test_one_group_model_is_dominant_with_zero_margin():
     assert (result.chosen, result.dominant, result.margin) == (0, True, 0.0)
 
 
+def test_argmin_tie_between_identical_groups_goes_to_the_lower_group():
+    rng = np.random.default_rng(49)
+    twin = make_bundle(rng, 10, ceps=5)
+    # Both groups hold the same ideal: both dominate, so dominance does
+    # not decide, and their scalars tie exactly.
+    result = classify_utterance(make_bundle(rng, 10, ceps=5), 0, _refs_from_bundles([twin, twin]))
+    assert result.scores[0].scalar == result.scores[1].scalar
+    assert (result.chosen, result.dominant) == (0, False)
+
+
+def test_a_group_tied_on_id_and_better_on_p_and_ir_dominates(monkeypatch):
+    import speechstyle.classify as classify_mod
+
+    recorded = [Triplet(0.3, 0.9, 0.8), Triplet(0.3, 0.4, 0.5)]
+    rng = np.random.default_rng(50)
+    refs = _refs_from_bundles([make_bundle(rng, 5), make_bundle(rng, 5)])
+
+    def fake_score(test, ideals, group, norm=NormKind.L2):
+        t = recorded[group]
+        return GroupScore(group=group, triplet=t, scalar=scalarize(t, norm), ideal_used="x")
+
+    monkeypatch.setattr(classify_mod, "score_against_group", fake_score)
+    result = classify_mod.classify_utterance(object(), 0, refs)
+    assert (result.chosen, result.dominant) == (0, True)
+
+
 @pytest.mark.parametrize("prompt", [3, 1, -1])
 def test_unknown_prompt_rejected(prompt):
     from speechstyle import classify_utterance

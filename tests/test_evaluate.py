@@ -65,6 +65,11 @@ def test_agreement_disagreement_profiles(exact, adjacent, far, want_total, want_
     assert report.one_step_pct == want_one_step
 
 
+def test_ranks_two_apart_are_not_one_step_agreement():
+    report = agreement(_vector([0, 2]), _vector([2, 0]), n_groups=3)
+    assert (report.total_pct, report.one_step_pct) == (0.0, 0.0)
+
+
 def test_agreement_is_symmetric_up_to_transpose():
     rng = np.random.default_rng(80)
     a = _vector(rng.integers(0, 5, size=40).tolist())

@@ -93,6 +93,24 @@ def test_stress_scaling_shifts_by_six_db():
     assert np.allclose(shift, 10.0 * math.log10(4.0), atol=1e-9)
 
 
+def _pitch_16k(frame):
+    return estimate_pitch(frame, 16000, CFG)
+
+
+@pytest.mark.parametrize(
+    "call, array, message",
+    [
+        (stress_contour, np.zeros(400), r"frames must be 2-D .*\(400,\)"),
+        (stress_contour, np.zeros((2, 3, 400)), r"frames must be 2-D .*\(2, 3, 400\)"),
+        (_pitch_16k, np.zeros((2, 400)), r"frame must be 1-D .*\(2, 400\)"),
+        (_pitch_16k, np.zeros(()), r"frame must be 1-D .*\(\)"),
+    ],
+)
+def test_stress_and_pitch_reject_arrays_of_the_wrong_dimension(call, array, message):
+    with pytest.raises(ValueError, match=message):
+        call(array)
+
+
 @pytest.mark.parametrize("freq", [100.0, 150.0, 220.0, 330.0, 440.0])
 def test_pitch_pure_tones_within_two_percent(freq):
     bundle = extract_features(_tone(freq), CFG)

@@ -3,6 +3,7 @@ import re
 import shutil
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ def test_kernel_object_name_changes_with_the_flags_and_each_source(monkeypatch, 
     assert all(path.exists() for path in (first, *built))
 
 
+def test_exported_kernel_functions_match_their_signatures_and_callers():
+    # A wrong argtypes entry corrupts memory silently, so the C
+    # definitions, the ctypes signatures and the Python callers must agree.
+    exported = {}
+    for source in _native._KERNEL_SOURCES:
+        for name, params in re.findall(
+            r"^int64_t (speechstyle_\w+)\(([^)]*)\)\s*\{", source.read_text(), re.MULTILINE
+        ):
+            exported[name] = tuple(
+                ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params.split(",")
+            )
+    assert exported == _native._SIGNATURES
+    package = Path(_native.__file__).parent
+    callers = "".join(
+        path.read_text() for path in package.glob("*.py") if path.name != "_native.py"
+    )
+    assert [name for name in exported if f".{name}(" not in callers] == []
+
+
 def test_failed_kernel_build_warns_once_and_falls_back_to_the_same_bits(monkeypatch):
     rng = np.random.default_rng(32)
     a, b = rng.normal(size=(15, 13)), rng.normal(size=(11, 13))
@@ -92,6 +112,29 @@ def test_failed_kernel_build_warns_once_and_falls_back_to_the_same_bits(monkeypa
         for bundle, kernel_bundle in zip(bundles, before[1]):
             for track in ("spectral", "pitch", "stress"):
                 assert getattr(bundle, track).tobytes() == getattr(kernel_bundle, track).tobytes()
+
+
+def _align_directly():
+    dtw_align(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def _extract_directly():
+    extract_features(AudioClip(np.zeros(4000), 16000), FrameConfig())
+
+
+@pytest.mark.parametrize("call", [_align_directly, _extract_directly])
+def test_failed_kernel_build_warning_names_the_caller_outside_the_package(monkeypatch, call):
+    def broken_build():
+        raise OSError("cc exited 1: simulated failure")
+
+    monkeypatch.setattr(_native, "_build_kernel", broken_build)
+    _native._open_kernel.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="simulated failure") as caught:
+            call()
+    finally:
+        _native._open_kernel.cache_clear()
+    assert [w.filename for w in caught] == [__file__]
 
 
 def _kernel():
