@@ -6,18 +6,29 @@
  * moved to the front of the factor list when the exponent is odd, and
  * takes its twiddles from the sincos_2pibyn table. This file copies
  * those passes, that factor order and that table, operation for
- * operation. Each pass runs on two frames at once in GCC vector lanes,
+ * operation. Each pass runs on LANES frames at once in GCC vector lanes,
  * so every lane does numpy's scalar IEEE operations in numpy's order.
  *
+ * The passes, below the #else at the end, are compiled once per width by
+ * including this file in itself: two lanes for every CPU, and on x86-64
+ * GCC and Clang eight lanes in AVX-512 code, which the entry points run
+ * when the CPU has AVX-512F. Lanes never mix, so both widths give the
+ * same bits. Defining SPEECHSTYLE_NARROW leaves the wide copy out.
+ *
  * Build (with _dtw.c): cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared ... -lm
- * Every buffer is allocated per call and nothing is global, so threads
+ * Each thread has its own scratch and nothing else is shared, so threads
  * may call these functions at once.
  */
+#ifndef LANES
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-typedef double v2 __attribute__((vector_size(16)));
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) \
+    && !defined(SPEECHSTYLE_NARROW)
+#define WIDE
+#endif
 
 /* A size of 2^62 has 32 factors. */
 #define MAX_FACTORS 32
@@ -119,11 +130,123 @@ static int make_plan(struct plan *p, int64_t n)
 /* (a + ib) = conj(c + id) * (e + if) */
 #define MULPM(a, b, c, d, e, f) { a = c * e + d * f; b = c * f - d * e; }
 
+/* The name of function f in the copy of width LANES: f_2 or f_8. */
+#define NAME(f) NAME_(f, LANES)
+#define NAME_(f, lanes) NAME__(f, lanes)
+#define NAME__(f, lanes) f##_##lanes
+
+/* One grow-only scratch per thread, freed when the thread exits. */
+struct scratch {
+    size_t bytes;
+    void *mem;
+};
+
+static pthread_key_t scratch_key;
+static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
+static int scratch_key_made;
+
+static void free_scratch(void *s)
+{
+    free(((struct scratch *)s)->mem);
+    free(s);
+}
+
+static void make_scratch_key(void)
+{
+    scratch_key_made = pthread_key_create(&scratch_key, free_scratch) == 0;
+}
+
+/* This thread's scratch, at least bytes long and 64-byte aligned for any
+ * vector width, or NULL if memory is short. */
+static void *scratch(size_t bytes)
+{
+    pthread_once(&scratch_once, make_scratch_key);
+    if (!scratch_key_made)
+        return NULL;
+    struct scratch *s = pthread_getspecific(scratch_key);
+    if (s == NULL) {
+        s = calloc(1, sizeof *s);
+        if (s == NULL || pthread_setspecific(scratch_key, s) != 0) {
+            free(s);
+            return NULL;
+        }
+    }
+    if (s->bytes < bytes) {
+        free(s->mem);
+        s->bytes = 0;
+        if (posix_memalign(&s->mem, 64, bytes) != 0) {
+            s->mem = NULL;
+            return NULL;
+        }
+        s->bytes = bytes;
+    }
+    return s->mem;
+}
+
+/* The plan of size n and this thread's scratch for two n-point buffers of
+ * frame_bytes per point, or NULL. */
+static void *start(struct plan *p, int64_t n, size_t frame_bytes)
+{
+    if (make_plan(p, n) != 0)
+        return NULL;
+    void *buf = scratch(2 * (size_t)n * frame_bytes);
+    if (buf == NULL)
+        free(p->mem);
+    return buf;
+}
+
+#define LANES 2
+#define TARGET
+#include "_fft.c"
+#undef LANES
+#undef TARGET
+
+#ifdef WIDE
+#define LANES 8
+#define TARGET __attribute__((target("avx512f")))
+#include "_fft.c"
+#undef LANES
+#undef TARGET
+#endif
+
+/* The frames below are x[r * row_step + t * col_step] for r < rows and
+ * t < len, with len <= n. Each function returns 0, or -1 if scratch
+ * memory is short. */
+
+/* The windowed power spectra of _cepstra: with X = rfft(frames * window, n),
+ * out is rows x (n/2 + 1), (re * re + im * im) / n per bin. */
+int64_t speechstyle_power_spectra(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                  int64_t col_step, const double *window, int64_t n, double *out)
+{
+#ifdef WIDE
+    if (__builtin_cpu_supports("avx512f"))
+        return power_spectra_8(x, rows, len, row_step, col_step, window, n, out);
+#endif
+    return power_spectra_2(x, rows, len, row_step, col_step, window, n, out);
+}
+
+/* The autocorrelation of _autocorrelate at lags 0..lags-1 (lags <= n):
+ * with X = rfft(frames, n), irfft(re * re + im * im, n) * (1 / n). */
+int64_t speechstyle_autocorrelation(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                    int64_t col_step, int64_t n, int64_t lags, double *out)
+{
+#ifdef WIDE
+    if (__builtin_cpu_supports("avx512f"))
+        return autocorrelation_8(x, rows, len, row_step, col_step, n, lags, out);
+#endif
+    return autocorrelation_2(x, rows, len, row_step, col_step, n, lags, out);
+}
+
+#else /* LANES: the passes and entry loops of one width */
+
+typedef double NAME(vec) __attribute__((vector_size(8 * LANES)));
+#define V NAME(vec)
+
 #define CC(a, b, c) cc[(a) + ido * ((b) + l1 * (c))]
 #define CH(a, b, c) ch[(a) + ido * ((b) + cdim * (c))]
 
-static void radf2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
-                  const double *restrict wa)
+TARGET static void NAME(radf2)(int64_t ido, int64_t l1, const V *restrict cc, V *restrict ch,
+                               const double *restrict wa)
 {
     const int64_t cdim = 2;
     for (int64_t k = 0; k < l1; k++)
@@ -139,7 +262,7 @@ static void radf2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     for (int64_t k = 0; k < l1; k++) {
         for (int64_t i = 2; i < ido; i += 2) {
             int64_t ic = ido - i;
-            v2 tr2, ti2;
+            V tr2, ti2;
             MULPM(tr2, ti2, WA(0, i - 2), WA(0, i - 1), CC(i - 1, k, 1), CC(i, k, 1));
             PM(CH(i - 1, 0, k), CH(ic - 1, 1, k), CC(i - 1, k, 0), tr2);
             PM(CH(i, 0, k), CH(ic, 1, k), ti2, CC(i, k, 0));
@@ -147,21 +270,21 @@ static void radf2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     }
 }
 
-static void radf4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
-                  const double *restrict wa)
+TARGET static void NAME(radf4)(int64_t ido, int64_t l1, const V *restrict cc, V *restrict ch,
+                               const double *restrict wa)
 {
     const int64_t cdim = 4;
     const double hsqt2 = (double)0.707106781186547524400844362104849L;
     for (int64_t k = 0; k < l1; k++) {
-        v2 tr1, tr2;
+        V tr1, tr2;
         PM(tr1, CH(0, 2, k), CC(0, k, 3), CC(0, k, 1));
         PM(tr2, CH(ido - 1, 1, k), CC(0, k, 0), CC(0, k, 2));
         PM(CH(0, 0, k), CH(ido - 1, 3, k), tr2, tr1);
     }
     if ((ido & 1) == 0) {
         for (int64_t k = 0; k < l1; k++) {
-            v2 ti1 = -hsqt2 * (CC(ido - 1, k, 1) + CC(ido - 1, k, 3));
-            v2 tr1 = hsqt2 * (CC(ido - 1, k, 1) - CC(ido - 1, k, 3));
+            V ti1 = -hsqt2 * (CC(ido - 1, k, 1) + CC(ido - 1, k, 3));
+            V tr1 = hsqt2 * (CC(ido - 1, k, 1) - CC(ido - 1, k, 3));
             PM(CH(ido - 1, 0, k), CH(ido - 1, 2, k), CC(ido - 1, k, 0), tr1);
             PM(CH(0, 3, k), CH(0, 1, k), ti1, CC(ido - 1, k, 2));
         }
@@ -171,7 +294,7 @@ static void radf4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     for (int64_t k = 0; k < l1; k++) {
         for (int64_t i = 2; i < ido; i += 2) {
             int64_t ic = ido - i;
-            v2 ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
+            V ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
             MULPM(cr2, ci2, WA(0, i - 2), WA(0, i - 1), CC(i - 1, k, 1), CC(i, k, 1));
             MULPM(cr3, ci3, WA(1, i - 2), WA(1, i - 1), CC(i - 1, k, 2), CC(i, k, 2));
             MULPM(cr4, ci4, WA(2, i - 2), WA(2, i - 1), CC(i - 1, k, 3), CC(i, k, 3));
@@ -192,8 +315,8 @@ static void radf4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
 #define CC(a, b, c) cc[(a) + ido * ((b) + cdim * (c))]
 #define CH(a, b, c) ch[(a) + ido * ((b) + l1 * (c))]
 
-static void radb2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
-                  const double *restrict wa)
+TARGET static void NAME(radb2)(int64_t ido, int64_t l1, const V *restrict cc, V *restrict ch,
+                               const double *restrict wa)
 {
     const int64_t cdim = 2;
     for (int64_t k = 0; k < l1; k++)
@@ -209,7 +332,7 @@ static void radb2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     for (int64_t k = 0; k < l1; k++) {
         for (int64_t i = 2; i < ido; i += 2) {
             int64_t ic = ido - i;
-            v2 ti2, tr2;
+            V ti2, tr2;
             PM(CH(i - 1, k, 0), tr2, CC(i - 1, 0, k), CC(ic - 1, 1, k));
             PM(ti2, CH(i, k, 0), CC(i, 0, k), CC(ic, 1, k));
             MULPM(CH(i, k, 1), CH(i - 1, k, 1), WA(0, i - 2), WA(0, i - 1), ti2, tr2);
@@ -217,22 +340,22 @@ static void radb2(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     }
 }
 
-static void radb4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict ch,
-                  const double *restrict wa)
+TARGET static void NAME(radb4)(int64_t ido, int64_t l1, const V *restrict cc, V *restrict ch,
+                               const double *restrict wa)
 {
     const int64_t cdim = 4;
     const double sqrt2 = (double)1.414213562373095048801688724209698L;
     for (int64_t k = 0; k < l1; k++) {
-        v2 tr1, tr2;
+        V tr1, tr2;
         PM(tr2, tr1, CC(0, 0, k), CC(ido - 1, 3, k));
-        v2 tr3 = 2.0 * CC(ido - 1, 1, k);
-        v2 tr4 = 2.0 * CC(0, 2, k);
+        V tr3 = 2.0 * CC(ido - 1, 1, k);
+        V tr4 = 2.0 * CC(0, 2, k);
         PM(CH(0, k, 0), CH(0, k, 2), tr2, tr3);
         PM(CH(0, k, 3), CH(0, k, 1), tr1, tr4);
     }
     if ((ido & 1) == 0) {
         for (int64_t k = 0; k < l1; k++) {
-            v2 tr1, tr2, ti1, ti2;
+            V tr1, tr2, ti1, ti2;
             PM(ti1, ti2, CC(0, 3, k), CC(0, 1, k));
             PM(tr2, tr1, CC(ido - 1, 0, k), CC(ido - 1, 2, k));
             CH(ido - 1, k, 0) = tr2 + tr2;
@@ -246,7 +369,7 @@ static void radb4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
     for (int64_t k = 0; k < l1; k++) {
         for (int64_t i = 2; i < ido; i += 2) {
             int64_t ic = ido - i;
-            v2 ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
+            V ci2, ci3, ci4, cr2, cr3, cr4, ti1, ti2, ti3, ti4, tr1, tr2, tr3, tr4;
             PM(tr2, tr1, CC(i - 1, 0, k), CC(ic - 1, 3, k));
             PM(ti1, ti2, CC(i, 0, k), CC(ic, 3, k));
             PM(tr4, ti3, CC(i, 2, k), CC(ic, 1, k));
@@ -265,16 +388,16 @@ static void radb4(int64_t ido, int64_t l1, const v2 *restrict cc, v2 *restrict c
 /* rfftp::forward on the n values in c, with ch as scratch: the factors
  * last to first. Returns the buffer that holds the FFTPACK-order result
  * r0, R1, I1, ..., R(n/2) (numpy's forward norm factor is 1). */
-static v2 *forward(const struct plan *p, v2 *c, v2 *ch)
+TARGET static V *NAME(forward)(const struct plan *p, V *c, V *ch)
 {
     for (int64_t k = p->nf - 1, l1 = p->n; k >= 0; k--) {
         int64_t ip = p->fct[k], ido = p->n / l1;
         l1 /= ip;
         if (ip == 4)
-            radf4(ido, l1, c, ch, p->tw[k]);
+            NAME(radf4)(ido, l1, c, ch, p->tw[k]);
         else
-            radf2(ido, l1, c, ch, p->tw[k]);
-        v2 *t = c;
+            NAME(radf2)(ido, l1, c, ch, p->tw[k]);
+        V *t = c;
         c = ch;
         ch = t;
     }
@@ -283,122 +406,107 @@ static v2 *forward(const struct plan *p, v2 *c, v2 *ch)
 
 /* rfftp::backward on the FFTPACK-order values in c, the factors first to
  * last, without the norm factor; returns the buffer holding the result. */
-static v2 *backward(const struct plan *p, v2 *c, v2 *ch)
+TARGET static V *NAME(backward)(const struct plan *p, V *c, V *ch)
 {
     for (int64_t k = 0, l1 = 1; k < p->nf; l1 *= p->fct[k], k++) {
         int64_t ip = p->fct[k], ido = p->n / (ip * l1);
         if (ip == 4)
-            radb4(ido, l1, c, ch, p->tw[k]);
+            NAME(radb4)(ido, l1, c, ch, p->tw[k]);
         else
-            radb2(ido, l1, c, ch, p->tw[k]);
-        v2 *t = c;
+            NAME(radb2)(ido, l1, c, ch, p->tw[k]);
+        V *t = c;
         c = ch;
         ch = t;
     }
     return c;
 }
 
-/* The plan of size n and two n-point buffers of frame pairs, or NULL. */
-static v2 *start(struct plan *p, int64_t n)
+/* Frames r .. r + LANES - 1 of x (frame r again past the last row) side
+ * by side in c's lanes: len samples, each times window[t] when a window
+ * is given, as numpy multiplies them, then zeros up to n. */
+TARGET static void NAME(load)(V *c, const double *x, int64_t r, int64_t rows, int64_t len,
+                              int64_t row_step, int64_t col_step, const double *window, int64_t n)
 {
-    if (make_plan(p, n) != 0)
-        return NULL;
-    v2 *buf = malloc(2 * (size_t)n * sizeof(v2));
-    if (buf == NULL)
-        free(p->mem);
-    return buf;
-}
-
-static void finish(struct plan *p, v2 *buf)
-{
-    free(p->mem);
-    free(buf);
-}
-
-/* Frames r and r + 1 of x (frame r + 1 is frame r again past the last
- * row) side by side in c's lanes: len samples, each times window[t]
- * when a window is given, as numpy multiplies them, then zeros up to n. */
-static void load(v2 *c, const double *x, int64_t r, int64_t rows, int64_t len, int64_t row_step,
-                 int64_t col_step, const double *window, int64_t n)
-{
-    const double *x0 = x + r * row_step, *x1 = r + 1 < rows ? x0 + row_step : x0;
+    const double *frame[LANES];
+    for (int64_t l = 0; l < LANES; l++)
+        frame[l] = x + (r + l < rows ? r + l : r) * row_step;
     for (int64_t t = 0; t < len; t++) {
-        v2 v = {x0[t * col_step], x1[t * col_step]};
+        V v;
+        for (int64_t l = 0; l < LANES; l++)
+            v[l] = frame[l][t * col_step];
         c[t] = window ? v * window[t] : v;
     }
     for (int64_t t = len; t < n; t++)
-        c[t] = (v2){0.0, 0.0};
+        c[t] = (V){0.0};
 }
 
 /* Bin k of the forward result r in FFTPACK order, as numpy unpacks it:
  * bins 0 and n/2 get the imaginary part 0. */
-static void bin(const v2 *r, int64_t n, int64_t k, v2 *re, v2 *im)
+TARGET static void NAME(bin)(const V *r, int64_t n, int64_t k, V *re, V *im)
 {
     *re = k == 0 ? r[0] : 2 * k == n ? r[n - 1] : r[2 * k - 1];
-    *im = k == 0 || 2 * k == n ? (v2){0.0, 0.0} : r[2 * k];
+    *im = k == 0 || 2 * k == n ? (V){0.0} : r[2 * k];
 }
 
-/* Lane 0 of v to out[r * width + k], lane 1 to row r + 1 if it exists. */
-static void store(double *out, int64_t r, int64_t rows, int64_t width, int64_t k, v2 v)
+/* Lane l of v to out[(r + l) * width + k], for the rows that exist. */
+TARGET static void NAME(store)(double *out, int64_t r, int64_t rows, int64_t width, int64_t k, V v)
 {
-    out[r * width + k] = v[0];
-    if (r + 1 < rows)
-        out[(r + 1) * width + k] = v[1];
+    for (int64_t l = 0; l < LANES && r + l < rows; l++)
+        out[(r + l) * width + k] = v[l];
 }
 
-/* The frames below are x[r * row_step + t * col_step] for r < rows and
- * t < len, with len <= n. Each function returns 0, or -1 if scratch
- * memory is short. */
-
-/* The windowed power spectra of _cepstra: with X = rfft(frames * window, n),
- * out is rows x (n/2 + 1), (re * re + im * im) / n per bin. */
-int64_t speechstyle_power_spectra(const double *x, int64_t rows, int64_t len, int64_t row_step,
-                                  int64_t col_step, const double *window, int64_t n, double *out)
+TARGET static int64_t NAME(power_spectra)(const double *x, int64_t rows, int64_t len,
+                                          int64_t row_step, int64_t col_step,
+                                          const double *window, int64_t n, double *out)
 {
     struct plan p;
-    v2 *buf = start(&p, n);
+    V *buf = start(&p, n, sizeof(V));
     if (buf == NULL)
         return -1;
-    for (int64_t r = 0; r < rows; r += 2) {
-        load(buf, x, r, rows, len, row_step, col_step, window, n);
-        const v2 *res = forward(&p, buf, buf + n);
+    for (int64_t r = 0; r < rows; r += LANES) {
+        NAME(load)(buf, x, r, rows, len, row_step, col_step, window, n);
+        const V *res = NAME(forward)(&p, buf, buf + n);
         for (int64_t k = 0; k <= n / 2; k++) {
-            v2 re, im;
-            bin(res, n, k, &re, &im);
-            store(out, r, rows, n / 2 + 1, k, (re * re + im * im) / (double)n);
+            V re, im;
+            NAME(bin)(res, n, k, &re, &im);
+            NAME(store)(out, r, rows, n / 2 + 1, k, (re * re + im * im) / (double)n);
         }
     }
-    finish(&p, buf);
+    free(p.mem);
     return 0;
 }
 
-/* The autocorrelation of _autocorrelate at lags 0..lags-1 (lags <= n):
- * with X = rfft(frames, n), irfft(re * re + im * im, n) * (1 / n). */
-int64_t speechstyle_autocorrelation(const double *x, int64_t rows, int64_t len, int64_t row_step,
-                                    int64_t col_step, int64_t n, int64_t lags, double *out)
+TARGET static int64_t NAME(autocorrelation)(const double *x, int64_t rows, int64_t len,
+                                            int64_t row_step, int64_t col_step, int64_t n,
+                                            int64_t lags, double *out)
 {
     struct plan p;
-    v2 *buf = start(&p, n);
+    V *buf = start(&p, n, sizeof(V));
     if (buf == NULL)
         return -1;
     const double fct = 1.0 / (double)n;
-    for (int64_t r = 0; r < rows; r += 2) {
-        load(buf, x, r, rows, len, row_step, col_step, NULL, n);
-        v2 *res = forward(&p, buf, buf + n);
-        v2 *power = res == buf ? buf + n : buf;
+    for (int64_t r = 0; r < rows; r += LANES) {
+        NAME(load)(buf, x, r, rows, len, row_step, col_step, NULL, n);
+        V *res = NAME(forward)(&p, buf, buf + n);
+        V *power = res == buf ? buf + n : buf;
         /* irfft's FFTPACK input: each bin's power as its real part, 0 as
          * the imaginary part of bins 1..n/2-1. */
         for (int64_t k = 0; k <= n / 2; k++) {
-            v2 re, im;
-            bin(res, n, k, &re, &im);
+            V re, im;
+            NAME(bin)(res, n, k, &re, &im);
             power[k == 0 ? 0 : 2 * k - 1] = re * re + im * im;
             if (k > 0 && 2 * k < n)
-                power[2 * k] = (v2){0.0, 0.0};
+                power[2 * k] = (V){0.0};
         }
-        const v2 *ac = backward(&p, power, res);
+        const V *ac = NAME(backward)(&p, power, res);
         for (int64_t t = 0; t < lags; t++)
-            store(out, r, rows, lags, t, fct * ac[t]);
+            NAME(store)(out, r, rows, lags, t, fct * ac[t]);
     }
-    finish(&p, buf);
+    free(p.mem);
     return 0;
 }
+
+#undef CC
+#undef CH
+#undef V
+#endif /* LANES */

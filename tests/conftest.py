@@ -1,6 +1,6 @@
 import pytest
 
-from speechstyle import SynthConfig, generate_synthetic_corpus
+from speechstyle import SynthConfig, _native, generate_synthetic_corpus
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,23 @@ def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_corpus")
     manifest = generate_synthetic_corpus(cfg, out)
     return cfg, manifest
+
+
+@pytest.fixture(scope="session")
+def kernel_builds(tmp_path_factory):
+    """Each build of the compiled kernels that compiles here, by name.
+
+    "dispatched" is the object the package loads, which runs the widest
+    copy this CPU has; "narrow" is built with SPEECHSTYLE_NARROW, so it
+    holds only the copies every CPU runs, which a wide host never calls.
+    """
+    builds = {"dispatched": _native._load_kernel()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("narrow_cache")))
+        patch.setattr(_native, "_KERNEL_FLAGS", (*_native._KERNEL_FLAGS, "-DSPEECHSTYLE_NARROW"))
+        _native._open_kernel.cache_clear()
+        try:
+            builds["narrow"] = _native._open_kernel()
+        finally:
+            _native._open_kernel.cache_clear()
+    return {name: kernel for name, kernel in builds.items() if kernel is not None}

@@ -137,25 +137,18 @@ def test_failed_kernel_build_warning_names_the_caller_outside_the_package(monkey
     assert [w.filename for w in caught] == [__file__]
 
 
-def _kernel():
-    kernel = _native._load_kernel()
-    if kernel is None:
-        pytest.skip("compiled kernels unavailable")
-    return kernel
-
-
-def _kernel_power_spectra(x, window, n):
+def _kernel_power_spectra(kernel, x, window, n):
     out = np.empty((x.shape[0], n // 2 + 1))
-    status = _kernel().speechstyle_power_spectra(
+    status = kernel.speechstyle_power_spectra(
         *_frame_args(x), window.ctypes.data, n, out.ctypes.data
     )
     assert status == 0
     return out
 
 
-def _kernel_autocorrelation(x, n, lags):
+def _kernel_autocorrelation(kernel, x, n, lags):
     out = np.empty((x.shape[0], lags))
-    assert _kernel().speechstyle_autocorrelation(*_frame_args(x), n, lags, out.ctypes.data) == 0
+    assert kernel.speechstyle_autocorrelation(*_frame_args(x), n, lags, out.ctypes.data) == 0
     return out
 
 
@@ -176,25 +169,31 @@ def _numpy_autocorrelation(x, n, lags):
     return np.fft.irfft(power, n, axis=1)[:, :lags]
 
 
-def _check_both_passes(x, size, rng):
+def _check_both_passes(builds, x, size, rng):
     length = x.shape[1]
     window = rng.uniform(size=length)
-    expected = _numpy_power_spectra(x, window, size)
-    assert _kernel_power_spectra(x, window, size).tobytes() == expected.tobytes()
     lags = min(size, length + 2)
-    expected = _numpy_autocorrelation(x, size, lags)
-    assert _kernel_autocorrelation(x, size, lags).tobytes() == expected.tobytes()
+    expected_power = _numpy_power_spectra(x, window, size).tobytes()
+    expected_ac = _numpy_autocorrelation(x, size, lags).tobytes()
+    for name, kernel in builds.items():
+        assert _kernel_power_spectra(kernel, x, window, size).tobytes() == expected_power, name
+        assert _kernel_autocorrelation(kernel, x, size, lags).tobytes() == expected_ac, name
 
 
+# Rows 1 to 17 fill one, two and part of a third group of eight lanes, and
+# every group of two; both builds run, so a wide host checks each width.
 @pytest.mark.parametrize("size", [1 << e for e in range(15)])
-def test_kernel_power_spectra_and_autocorrelation_equal_numpy_bit_for_bit(size):
+def test_kernel_power_spectra_and_autocorrelation_equal_numpy_bit_for_bit(kernel_builds, size):
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
     rng = np.random.default_rng(size)
-    for rows in range(1, 6):
+    for rows in range(1, 18):
         for length in sorted({max(size // 3, 1), max(size // 2, 1), size}):
             for scale in (1e-4, 1e-2, 1.0, 1e3):
-                _check_both_passes(rng.normal(scale=scale, size=(rows, length)), size, rng)
+                x = rng.normal(scale=scale, size=(rows, length))
+                _check_both_passes(kernel_builds, x, size, rng)
     # Strided frames, the columns of a transposed array, are read in place.
-    _check_both_passes(rng.normal(size=(size, 3)).T, size, rng)
+    _check_both_passes(kernel_builds, rng.normal(size=(size, 3)).T, size, rng)
 
 
 def test_kernel_is_reentrant_across_threads():
@@ -202,20 +201,31 @@ def test_kernel_is_reentrant_across_threads():
 
     rng = np.random.default_rng(9)
     frames = [rng.normal(size=(rows, 1102)) for rows in (7, 40, 41, 64)]
-    window = np.hamming(1102)
-    serial = [(_power_spectra(f, window, 2048), _autocorrelation(f, 884)) for f in frames]
-    results = [None] * (2 * len(frames))
+    # The last thread's autocorrelations grow its scratch from 512 to 4096
+    # points, then reuse it at 1024, while the other threads run.
+    growing = [rng.normal(size=(9, size // 2)) for size in (512, 4096, 1024)]
+    jobs = [[f] for f in frames + frames] + [growing]
+
+    def run(job):
+        return [
+            a.tobytes()
+            for f in job
+            for a in (
+                _power_spectra(f, np.hamming(f.shape[1]), 1 << (f.shape[1] - 1).bit_length()),
+                _autocorrelation(f, min(884, f.shape[1])),
+            )
+        ]
+
+    serial = [run(job) for job in jobs]
+    results = [None] * len(jobs)
 
     def work(k):
-        f = frames[k % len(frames)]
-        results[k] = (_power_spectra(f, window, 2048), _autocorrelation(f, 884))
+        results[k] = run(jobs[k])
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
-    for k, (power, ac) in enumerate(results):
-        expected_power, expected_ac = serial[k % len(frames)]
-        assert power.tobytes() == expected_power.tobytes()
-        assert ac.tobytes() == expected_ac.tobytes()
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
