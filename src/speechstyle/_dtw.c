@@ -3,31 +3,67 @@
  * Build (with _fft.c): cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared ... -lm
  * No -ffast-math: every sum, product and comparison must round exactly as
  * numpy and the Python recurrence do.
- *
- * The distance rows, below the #else at the end, are compiled once per
- * instruction set by including this file in itself: for every CPU, and on
- * x86-64 GCC and Clang in AVX2 code, which speechstyle_dtw runs when the
- * CPU has AVX2 (on AVX-512 hosts, 8-lane code measured no faster). Their
- * loops over j vectorize, and each j keeps its own scalar operations, so
- * both copies give the same bits. Defining SPEECHSTYLE_NARROW leaves the
- * AVX2 copy out.
  */
-#ifndef ISA
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) \
-    && !defined(SPEECHSTYLE_NARROW)
-#define WIDE
-#endif
-
 enum { DIAG = 1, VERT = 2, HORIZ = 3 };
 
-/* The name of function f in the copy for ISA: f_base or f_avx2. */
-#define NAME(f) NAME_(f, ISA)
-#define NAME_(f, isa) NAME__(f, isa)
-#define NAME__(f, isa) f##_##isa
+/* out[j] = sum of (a[k] - b[j][k])^2 over k < n, for j < m, in numpy's
+ * pairwise summation order, so that each equals ((a - b[j]) ** 2).sum()
+ * bit for bit. bt holds b transposed (bt[k * m + j] = b[j][k]), so every
+ * loop over j runs on adjacent values and vectorizes; each j keeps its
+ * own sums in their own order. tmp needs room for scratch_rows(n) * m. */
+static void sq_dists(const double *restrict a, const double *restrict bt, int64_t m, int64_t n,
+                     double *restrict out, double *restrict tmp)
+{
+    if (n < 8) {
+        for (int64_t j = 0; j < m; j++)
+            out[j] = 0.0;
+        for (int64_t k = 0; k < n; k++) {
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[k] - bt[k * m + j];
+                out[j] += d * d;
+            }
+        }
+        return;
+    }
+    if (n <= 128) {
+        double *r = tmp;
+        for (int k = 0; k < 8; k++) {
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[k] - bt[k * m + j];
+                r[k * m + j] = d * d;
+            }
+        }
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int k = 0; k < 8; k++) {
+                for (int64_t j = 0; j < m; j++) {
+                    double d = a[i + k] - bt[(i + k) * m + j];
+                    r[k * m + j] += d * d;
+                }
+            }
+        }
+        for (int64_t j = 0; j < m; j++)
+            out[j] = ((r[j] + r[m + j]) + (r[2 * m + j] + r[3 * m + j]))
+                     + ((r[4 * m + j] + r[5 * m + j]) + (r[6 * m + j] + r[7 * m + j]));
+        for (; i < n; i++) {
+            for (int64_t j = 0; j < m; j++) {
+                double d = a[i] - bt[i * m + j];
+                out[j] += d * d;
+            }
+        }
+        return;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    sq_dists(a, bt, m, n2, out, tmp);
+    sq_dists(a + n2, bt + n2 * m, m, n - n2, tmp, tmp + m);
+    for (int64_t j = 0; j < m; j++)
+        out[j] += tmp[j];
+}
 
 /* Rows of m values that sq_dists(..., n, ...) needs in tmp. */
 static int64_t scratch_rows(int64_t n)
@@ -39,19 +75,14 @@ static int64_t scratch_rows(int64_t n)
     return first > second ? first : second;
 }
 
-#define ISA base
-#define TARGET
-#include "_dtw.c"
-#undef ISA
-#undef TARGET
-
-#ifdef WIDE
-#define ISA avx2
-#define TARGET __attribute__((target("avx2")))
-#include "_dtw.c"
-#undef ISA
-#undef TARGET
-#endif
+/* dist[j] = Euclidean distance from frame a to frame j of b, for j < m. */
+static void distances(const double *a, const double *bt, int64_t m, int64_t dim, double *dist,
+                      double *tmp)
+{
+    sq_dists(a, bt, m, dim, dist, tmp);
+    for (int64_t j = 0; j < m; j++)
+        dist[j] = sqrt(dist[j]);
+}
 
 /* a is n x dim, b is m x dim, both C-contiguous. rows and cols need room
  * for n + m - 1 entries. Writes the optimal path's frame pairs in order,
@@ -70,12 +101,6 @@ int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, 
     }
     double *above = acc, *row = acc + m, *dist = acc + 2 * m, *bt = acc + 3 * m;
     double *tmp = bt + dim * m;
-    void (*distances)(const double *, const double *, int64_t, int64_t, double *, double *) =
-        distances_base;
-#ifdef WIDE
-    if (__builtin_cpu_supports("avx2"))
-        distances = distances_avx2;
-#endif
     for (int64_t j = 0; j < m; j++)
         for (int64_t k = 0; k < dim; k++)
             bt[k * m + j] = b[j * dim + k];
@@ -131,70 +156,3 @@ int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, 
     free(move);
     return start;
 }
-
-#else /* ISA: the distance rows of one instruction set */
-
-/* out[j] = sum of (a[k] - b[j][k])^2 over k < n, for j < m, in numpy's
- * pairwise summation order, so that each equals ((a - b[j]) ** 2).sum()
- * bit for bit. bt holds b transposed (bt[k * m + j] = b[j][k]), so every
- * loop over j runs on adjacent values and vectorizes; each j keeps its
- * own sums in their own order. tmp needs room for scratch_rows(n) * m. */
-TARGET static void NAME(sq_dists)(const double *restrict a, const double *restrict bt, int64_t m,
-                                  int64_t n, double *restrict out, double *restrict tmp)
-{
-    if (n < 8) {
-        for (int64_t j = 0; j < m; j++)
-            out[j] = 0.0;
-        for (int64_t k = 0; k < n; k++) {
-            for (int64_t j = 0; j < m; j++) {
-                double d = a[k] - bt[k * m + j];
-                out[j] += d * d;
-            }
-        }
-        return;
-    }
-    if (n <= 128) {
-        double *r = tmp;
-        for (int k = 0; k < 8; k++) {
-            for (int64_t j = 0; j < m; j++) {
-                double d = a[k] - bt[k * m + j];
-                r[k * m + j] = d * d;
-            }
-        }
-        int64_t i;
-        for (i = 8; i < n - (n % 8); i += 8) {
-            for (int k = 0; k < 8; k++) {
-                for (int64_t j = 0; j < m; j++) {
-                    double d = a[i + k] - bt[(i + k) * m + j];
-                    r[k * m + j] += d * d;
-                }
-            }
-        }
-        for (int64_t j = 0; j < m; j++)
-            out[j] = ((r[j] + r[m + j]) + (r[2 * m + j] + r[3 * m + j]))
-                     + ((r[4 * m + j] + r[5 * m + j]) + (r[6 * m + j] + r[7 * m + j]));
-        for (; i < n; i++) {
-            for (int64_t j = 0; j < m; j++) {
-                double d = a[i] - bt[i * m + j];
-                out[j] += d * d;
-            }
-        }
-        return;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    NAME(sq_dists)(a, bt, m, n2, out, tmp);
-    NAME(sq_dists)(a + n2, bt + n2 * m, m, n - n2, tmp, tmp + m);
-    for (int64_t j = 0; j < m; j++)
-        out[j] += tmp[j];
-}
-
-/* dist[j] = Euclidean distance from frame a to frame j of b, for j < m. */
-TARGET static void NAME(distances)(const double *a, const double *bt, int64_t m, int64_t dim,
-                                   double *dist, double *tmp)
-{
-    NAME(sq_dists)(a, bt, m, dim, dist, tmp);
-    for (int64_t j = 0; j < m; j++)
-        dist[j] = sqrt(dist[j]);
-}
-#endif /* ISA */
