@@ -1,5 +1,6 @@
-/* The power spectra and autocorrelations of features.py, from power-of-two
- * real FFTs bit-identical to numpy.fft's rfft and irfft.
+/* The per-frame passes of features.py: the power spectra of the cepstra
+ * and the f0 track, from power-of-two real FFTs bit-identical to
+ * numpy.fft's rfft and irfft, and the mean squares of the stress contour.
  *
  * numpy >= 2.0 computes rfft and irfft with pocketfft's rfftp. For a
  * power-of-two size that runs radix-4 passes, with one radix-2 pass
@@ -8,6 +9,9 @@
  * those passes, that factor order and that table, operation for
  * operation. Each pass runs on LANES frames at once in GCC vector lanes,
  * so every lane does numpy's scalar IEEE operations in numpy's order.
+ * The f0 of each frame is then picked from its autocorrelation with
+ * _pitch_batch's operations, and the mean squares are summed in numpy's
+ * pairwise order.
  *
  * The passes, below the #else at the end, are compiled once per width by
  * including this file in itself: two lanes for every CPU, and on x86-64
@@ -195,6 +199,13 @@ static void *start(struct plan *p, int64_t n, size_t frame_bytes)
     return buf;
 }
 
+/* _pitch_batch's search band and voicing test: lags lag_min..lag_max
+ * (lag_min >= 1, lag_max + 1 < n), f0 clamped to [lowest, highest]. */
+struct band {
+    int64_t lag_min, lag_max;
+    double sample_rate, lowest, highest, threshold;
+};
+
 #define LANES 2
 #define TARGET
 #include "_fft.c"
@@ -225,16 +236,62 @@ int64_t speechstyle_power_spectra(const double *x, int64_t rows, int64_t len, in
     return power_spectra_2(x, rows, len, row_step, col_step, window, n, out);
 }
 
-/* The autocorrelation of _autocorrelate at lags 0..lags-1 (lags <= n):
- * with X = rfft(frames, n), irfft(re * re + im * im, n) * (1 / n). */
-int64_t speechstyle_autocorrelation(const double *x, int64_t rows, int64_t len, int64_t row_step,
-                                    int64_t col_step, int64_t n, int64_t lags, double *out)
+/* The f0 track of _pitch_batch, NaN where unvoiced, one value per frame:
+ * from the autocorrelation irfft(re * re + im * im, n) * (1 / n), with
+ * X = rfft(frames, n), picked in the band that the other arguments give
+ * (struct band). */
+int64_t speechstyle_pitch(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                          int64_t col_step, int64_t n, int64_t lag_min, int64_t lag_max,
+                          double sample_rate, double lowest, double highest, double threshold,
+                          double *out)
 {
+    const struct band b = {lag_min, lag_max, sample_rate, lowest, highest, threshold};
 #ifdef WIDE
     if (__builtin_cpu_supports("avx512f"))
-        return autocorrelation_8(x, rows, len, row_step, col_step, n, lags, out);
+        return pitch_8(x, rows, len, row_step, col_step, n, &b, out);
 #endif
-    return autocorrelation_2(x, rows, len, row_step, col_step, n, lags, out);
+    return pitch_2(x, rows, len, row_step, col_step, n, &b, out);
+}
+
+/* numpy's pairwise_sum, which np.add.reduce runs on each contiguous row,
+ * over the squares of x[0], x[step], ..., x[(n - 1) * step]: one running
+ * sum below 8 values, eight up to 128, and above that two halves split
+ * at a multiple of 8. This and pick below stay out of line: inlined,
+ * the two made the cold compile about 0.4 s longer and ran no faster. */
+__attribute__((noinline)) static double sum_squares(const double *x, int64_t n, int64_t step)
+{
+    if (n < 8) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            sum += x[i * step] * x[i * step];
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int64_t j = 0; j < 8; j++)
+            r[j] = x[j * step] * x[j * step];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += x[(i + j) * step] * x[(i + j) * step];
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            sum += x[i * step] * x[i * step];
+        return sum;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return sum_squares(x, half, step) + sum_squares(x + half * step, n - half, step);
+}
+
+/* The mean squares of stress_contour, np.mean(frames ** 2, axis=1), for
+ * len >= 1; never short of memory. */
+int64_t speechstyle_mean_square(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                int64_t col_step, double *out)
+{
+    for (int64_t r = 0; r < rows; r++)
+        out[r] = sum_squares(x + r * row_step, len, col_step) / (double)len;
+    return 0;
 }
 
 #else /* LANES: the passes and entry loops of one width */
@@ -476,9 +533,40 @@ TARGET static int64_t NAME(power_spectra)(const double *x, int64_t rows, int64_t
     return 0;
 }
 
-TARGET static int64_t NAME(autocorrelation)(const double *x, int64_t rows, int64_t len,
-                                            int64_t row_step, int64_t col_step, int64_t n,
-                                            int64_t lags, double *out)
+/* _pitch_batch on lane l of the autocorrelation fct * ac: the first
+ * largest value at lags lag_min..lag_max (numpy's argmax picks the first
+ * NaN, which no frame voices), voiced when it reaches threshold times a
+ * positive lag 0; then the parabola through it and its neighbours moves
+ * the lag by at most one at a true peak. Returns f0 clamped to the band,
+ * or NaN. Out of line, as sum_squares is. */
+TARGET __attribute__((noinline)) static double NAME(pick)(const V *ac, int64_t l, double fct,
+                                                          const struct band *b)
+{
+    int64_t lag = b->lag_min;
+    double peak = fct * ac[lag][l];
+    for (int64_t t = b->lag_min; t <= b->lag_max; t++) {
+        double v = fct * ac[t][l];
+        if (isnan(v))
+            return NAN;
+        if (v > peak) {
+            peak = v;
+            lag = t;
+        }
+    }
+    double r0 = fct * ac[0][l];
+    if (!(r0 > 0.0 && peak / r0 >= b->threshold))
+        return NAN;
+    double left = fct * ac[lag - 1][l], right = fct * ac[lag + 1][l];
+    double denom = left - 2.0 * peak + right;
+    double offset = 0.5 * (left - right) / denom;
+    double refined = denom < 0.0 && fabs(offset) <= 1.0 ? (double)lag + offset : (double)lag;
+    double f0 = b->sample_rate / refined;
+    f0 = f0 < b->lowest ? b->lowest : f0;
+    return f0 > b->highest ? b->highest : f0;
+}
+
+TARGET static int64_t NAME(pitch)(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                                  int64_t col_step, int64_t n, const struct band *b, double *out)
 {
     struct plan p;
     V *buf = start(&p, n, sizeof(V));
@@ -499,8 +587,8 @@ TARGET static int64_t NAME(autocorrelation)(const double *x, int64_t rows, int64
                 power[2 * k] = (V){0.0};
         }
         const V *ac = NAME(backward)(&p, power, res);
-        for (int64_t t = 0; t < lags; t++)
-            NAME(store)(out, r, rows, lags, t, fct * ac[t]);
+        for (int64_t l = 0; l < LANES && r + l < rows; l++)
+            out[r + l] = NAME(pick)(ac, l, fct, b);
     }
     free(p.mem);
     return 0;

@@ -14,17 +14,42 @@ from pathlib import Path
 _KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_dtw.c", "_fft.c"))
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
-_P, _I = ctypes.c_void_p, ctypes.c_int64
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # Argument types of each exported function; each returns an int64.
 _SIGNATURES = {
     "speechstyle_dtw": (_P, _P, _I, _I, _I, _P, _P, _P),
     "speechstyle_power_spectra": (_P, _I, _I, _I, _I, _P, _I, _P),
-    "speechstyle_autocorrelation": (_P, _I, _I, _I, _I, _I, _I, _P),
+    "speechstyle_pitch": (_P, _I, _I, _I, _I, _I, _I, _I, _D, _D, _D, _D, _P),
+    "speechstyle_mean_square": (_P, _I, _I, _I, _I, _P),
 }
 
 
+def _run_at_once(commands: list[list[str]]) -> None:
+    """Run the compiler commands side by side; OSError if one fails to start or exits non-zero."""
+    import subprocess  # only a cold cache compiles
+
+    running = []
+    try:
+        for command in commands:
+            running.append(
+                subprocess.Popen(
+                    command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+                )
+            )
+    finally:
+        # Started ones are waited for even when a later one cannot start.
+        errors = [(process.communicate()[1], process.returncode) for process in running]
+    for stderr, code in errors:
+        if code != 0:
+            raise OSError(f"cc exited {code}: {stderr.strip()}")
+
+
 def _build_kernel() -> Path:
-    """Compile the kernel sources into the user cache once per source and flag set."""
+    """Compile the kernel sources into the user cache once per source and flag set.
+
+    Each source compiles to its own object at the same time as the
+    others; one more call links them.
+    """
     # A CRC-32 names the object: a digest from OpenSSL would map that library into every job.
     sources = b"".join(path.name.encode() + b"\0" + path.read_bytes() for path in _KERNEL_SOURCES)
     key = binascii.crc32(sources + " ".join(_KERNEL_FLAGS).encode())
@@ -32,23 +57,23 @@ def _build_kernel() -> Path:
     target = cache / f"kernels-{key:08x}.so"
     if target.exists():
         return target
-    import subprocess  # only a cold cache compiles
-
     cache.mkdir(parents=True, exist_ok=True)
     # A per-process, per-thread name plus an atomic rename: concurrent
     # builds never load a half-written object.
     partial = cache / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    objects = [partial.with_name(f"{partial.name}.{k}.o") for k in range(len(_KERNEL_SOURCES))]
     try:
-        done = subprocess.run(
-            ["cc", *_KERNEL_FLAGS, "-o", str(partial), *map(str, _KERNEL_SOURCES), "-lm"],
-            capture_output=True,
-            text=True,
+        _run_at_once(
+            [
+                ["cc", *_KERNEL_FLAGS, "-c", "-o", str(obj), str(source)]
+                for obj, source in zip(objects, _KERNEL_SOURCES)
+            ]
         )
-        if done.returncode != 0:
-            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
+        _run_at_once([["cc", *_KERNEL_FLAGS, "-o", str(partial), *map(str, objects), "-lm"]])
         os.replace(partial, target)
     finally:
-        partial.unlink(missing_ok=True)
+        for path in (partial, *objects):
+            path.unlink(missing_ok=True)
     return target
 
 

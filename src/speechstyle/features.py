@@ -21,8 +21,8 @@ from .errors import ClipTooShort
 # Floors keep log() away from zero without disturbing ordinary frames.
 _ENERGY_FLOOR = 1e-12
 STRESS_FLOOR_DB = -120.0
-# Values per numpy FFT call (where the compiled kernels are unavailable)
-# or row reduction (rows x row length), so that a clip's temporaries stay
+# Values per numpy FFT call or row reduction (rows x row length), where
+# the compiled kernels are unavailable, so that a clip's temporaries stay
 # small: 8 frames of the 4096-point pitch FFT at 44.1 kHz, 32 frames of
 # the 1024-point one at 16 kHz.
 _BLOCK_POINTS = 1 << 15
@@ -282,33 +282,31 @@ def _autocorrelate(frames: np.ndarray) -> np.ndarray:
     return np.fft.irfft(power, size, axis=1)[:, :n]
 
 
-def _autocorrelation(frames: np.ndarray, lags: int) -> np.ndarray:
-    """_autocorrelate's lags 0..lags-1 of each row, from the kernel or numpy, equal bit for bit."""
-    rows, n = frames.shape
-    size = _next_pow2(2 * n)
-    ac = np.empty((rows, lags))
-    kernel = _kernel_for(frames)
-    if kernel is not None:
-        if kernel.speechstyle_autocorrelation(
-            *_frame_args(frames), size, lags, ac.ctypes.data
-        ) < 0:
-            raise MemoryError(f"no memory for {size}-point FFTs")
-        return ac
-    for block in _row_blocks(rows, size):
-        ac[block] = _autocorrelate(frames[block])[:, :lags]
-    return ac
-
-
 def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
-    """Per-frame f0 via the normalized autocorrelation peak; NaN = unvoiced."""
+    """Per-frame f0 via the normalized autocorrelation peak; NaN = unvoiced.
+
+    The compiled kernel runs the numpy steps below on each frame in turn,
+    with the same bits, and keeps no table of autocorrelations.
+    """
     rows, n = frames.shape
     out = np.full(rows, np.nan)
     lag_min = max(int(np.ceil(sample_rate / cfg.pitch_fmax)), 2)
     lag_max = min(int(np.floor(sample_rate / cfg.pitch_fmin)), n - 2)
     if lag_max < lag_min:
         return out
+    size = _next_pow2(2 * n)
+    kernel = _kernel_for(frames)
+    if kernel is not None:
+        if kernel.speechstyle_pitch(
+            *_frame_args(frames), size, lag_min, lag_max, sample_rate,
+            cfg.pitch_fmin, cfg.pitch_fmax, cfg.voicing_threshold, out.ctypes.data,
+        ) < 0:
+            raise MemoryError(f"no memory for {size}-point FFTs")
+        return out
     # Refinement reads one lag either side of the peak, so up to lag_max + 1.
-    ac = _autocorrelation(frames, lag_max + 2)
+    ac = np.empty((rows, lag_max + 2))
+    for block in _row_blocks(rows, size):
+        ac[block] = _autocorrelate(frames[block])[:, : lag_max + 2]
     peak_lag = np.argmax(ac[:, lag_min : lag_max + 1], axis=1) + lag_min
     r0 = ac[:, 0]
     # The autocorrelation at the peak lag and its two neighbours.
@@ -348,9 +346,18 @@ def stress_contour(frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError(f"frames must be 2-D (frames x samples), got shape {frames.shape}")
+    if frames.shape[1] == 0:
+        raise ValueError(f"frames must hold at least one sample, got shape {frames.shape}")
     mean_square = np.empty(frames.shape[0])
-    for block in _row_blocks(*frames.shape):
-        mean_square[block] = np.mean(frames[block] ** 2, axis=1)
+    # numpy sums each row pairwise, as the kernel does, unless the frames lie
+    # column by column in memory: it then squares them into a column-major
+    # array and sums each row from left to right.
+    kernel = _kernel_for(frames) if abs(frames.strides[1]) <= abs(frames.strides[0]) else None
+    if kernel is not None:
+        kernel.speechstyle_mean_square(*_frame_args(frames), mean_square.ctypes.data)
+    else:
+        for block in _row_blocks(*frames.shape):
+            mean_square[block] = np.mean(frames[block] ** 2, axis=1)
     return 10.0 * np.log10(np.maximum(mean_square, 10.0 ** (STRESS_FLOOR_DB / 10.0)))
 
 

@@ -187,8 +187,10 @@ def _worker_count(items: int) -> int:
 def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     """fn of each item, yielded in item order, computed on a thread pool.
 
-    Threads pay off because numpy's FFTs and the compiled DTW kernel
-    release the interpreter lock. The first exception in item order is
+    Threads overlap only outside the interpreter lock, in the compiled
+    kernels and numpy's larger array operations: on 2 CPUs, 200 clips of
+    1.5 s at 16 kHz ingest in 0.28 s on one thread and 0.22-0.24 s on two
+    (README, "Clip ingest"). The first exception in item order is
     raised; work not yet started is then cancelled. With one worker the
     items run in order on the calling thread.
     """

@@ -85,6 +85,26 @@ def brute_force_dtw_cost(a, b):
     return best[0]
 
 
+def pick_f0(ac, lag_min, lag_max, sample_rate, fmin, fmax, threshold):
+    """The f0 of one frame from its autocorrelation ac, in Python floats; NaN if unvoiced.
+
+    The first largest lag in lag_min..lag_max voices the frame if it
+    reaches threshold times a positive lag 0; a parabola through it and
+    its neighbours refines it by at most one lag at a true peak.
+    """
+    peak_lag = int(np.argmax(ac[lag_min : lag_max + 1])) + lag_min
+    if not (ac[0] > 0 and ac[peak_lag] / ac[0] >= threshold):
+        return math.nan
+    left, mid, right = (float(v) for v in ac[peak_lag - 1 : peak_lag + 2])
+    lag = float(peak_lag)
+    denom = left - 2.0 * mid + right
+    if denom < 0:
+        offset = 0.5 * (left - right) / denom
+        if abs(offset) <= 1.0:
+            lag += offset
+    return min(max(sample_rate / lag, fmin), fmax)
+
+
 def quadruple_loop_average(bundles):
     """Literal ordered-pair average, diagonal included, divisor N*N."""
     n = len(bundles)

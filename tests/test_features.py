@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import pick_f0
 from speechstyle import (
     SUPPORTED_RATES,
     AudioClip,
@@ -102,6 +103,7 @@ def _pitch_16k(frame):
     [
         (stress_contour, np.zeros(400), r"frames must be 2-D .*\(400,\)"),
         (stress_contour, np.zeros((2, 3, 400)), r"frames must be 2-D .*\(2, 3, 400\)"),
+        (stress_contour, np.zeros((3, 0)), r"at least one sample, got shape \(3, 0\)"),
         (_pitch_16k, np.zeros((2, 400)), r"frame must be 1-D .*\(2, 400\)"),
         (_pitch_16k, np.zeros(()), r"frame must be 1-D .*\(\)"),
     ],
@@ -168,21 +170,8 @@ def _pitch_frame_by_frame(frames, sample_rate, cfg):
     n = frames.shape[1]
     lag_min = max(math.ceil(sample_rate / cfg.pitch_fmax), 2)
     lag_max = min(math.floor(sample_rate / cfg.pitch_fmin), n - 2)
-    ac = _autocorrelate(frames)
-    out = np.full(frames.shape[0], np.nan)
-    for i, row in enumerate(ac):
-        peak_lag = int(np.argmax(row[lag_min : lag_max + 1])) + lag_min
-        if not (row[0] > 0 and row[peak_lag] / row[0] >= cfg.voicing_threshold):
-            continue
-        left, mid, right = (float(v) for v in row[peak_lag - 1 : peak_lag + 2])
-        lag = float(peak_lag)
-        denom = left - 2.0 * mid + right
-        if denom < 0:
-            offset = 0.5 * (left - right) / denom
-            if abs(offset) <= 1.0:
-                lag += offset
-        out[i] = min(max(sample_rate / lag, cfg.pitch_fmin), cfg.pitch_fmax)
-    return out
+    band = (lag_min, lag_max, sample_rate, cfg.pitch_fmin, cfg.pitch_fmax, cfg.voicing_threshold)
+    return np.array([pick_f0(row, *band) for row in _autocorrelate(frames)])
 
 
 @pytest.mark.parametrize("sample_rate", [8000, 16000, 44100])
@@ -375,3 +364,79 @@ def test_one_to_four_sample_windows_equal_numpy(window_ms, numpy_only):
     expected = extract_features(clip, cfg)
     for track in ("spectral", "pitch", "stress"):
         assert getattr(kernel, track).tobytes() == getattr(expected, track).tobytes()
+
+
+def test_kernel_pitch_equals_numpy_at_every_edge_of_the_peak_pick(numpy_only):
+    # Ten-sample frames at 8 kHz search lags 2..5, and f0 is clamped
+    # below 1.75 and above 5.25 lags. The autocorrelations of small
+    # integers come out exact, so they tie and meet the edges exactly.
+    sample_rate = 8000
+    cfg = FrameConfig(pitch_fmin=sample_rate / 5.25, pitch_fmax=sample_rate / 1.75)
+    special = [
+        [0, 0, -2, -1, 0, 0, 0, -1, -2, -1],  # refined by exactly +1 lag
+        [-1, -1, -1, -1, -1, 0, -1, 1, 1, 1],  # refined by exactly -1 lag
+        [0] * 10,  # lag 0 is 0
+        [1e-170] + [0] * 9,  # lag 0 underflows to 0
+        [1, 2, np.nan, 0, 1, 2, 1, 0, 1, 2],
+        [1, 2, np.inf, 0, 1, 2, 1, 0, 1, 2],
+        [1, 2, -np.inf, 0, 1, 2, 1, 0, 1, 2],
+    ]
+    rng = np.random.default_rng(24)
+    frames = np.vstack([special, rng.integers(-2, 3, size=(2000, 10))]).astype(float)
+    # _pitch_batch's intermediate values, to show that each edge occurs.
+    # The frames with inf or NaN samples make NaNs, which numpy warns of.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ac = _autocorrelate(frames)
+        rows = np.arange(len(frames))
+        band = ac[:, 2:6]
+        peak_lag = np.argmax(band, axis=1) + 2
+        peak = ac[rows, peak_lag]
+        left, right = ac[rows, peak_lag - 1], ac[rows, peak_lag + 1]
+        voiced = (ac[:, 0] > 0) & (peak / ac[:, 0] >= cfg.voicing_threshold)
+        denom = left - 2.0 * peak + right
+        offset = 0.5 * (left - right) / denom
+    assert np.all(ac[2:4, 0] == 0.0) and np.all(np.isnan(peak[4:7]))
+    assert np.any(voiced & ((band == peak[:, np.newaxis]).sum(axis=1) > 1))
+    assert np.any(voiced & (denom >= 0.0))
+    assert np.all(voiced[:2] & (denom[:2] < 0.0)) and list(offset[:2]) == [1.0, -1.0]
+
+    kernel = _pitch_batch(frames, sample_rate, cfg)
+    numpy_only()
+    with np.errstate(invalid="ignore"):
+        expected = _pitch_batch(frames, sample_rate, cfg)
+    assert list(np.isnan(expected)) == list(~voiced)
+    assert cfg.pitch_fmin in expected and cfg.pitch_fmax in expected
+    assert kernel.tobytes() == expected.tobytes()
+
+
+def test_kernel_pitch_voices_a_peak_exactly_at_the_threshold(numpy_only):
+    frame = 0.6 * np.sin(2 * np.pi * 210.0 * np.arange(400) / 16000)
+    frame += 0.3 * np.random.default_rng(25).standard_normal(400)
+    ac = _autocorrelate(frame[np.newaxis, :])[0]
+    ratio = float(np.max(ac[32:321]) / ac[0])
+    thresholds = (ratio, float(np.nextafter(ratio, 1.0)))
+    configs = [dataclasses.replace(CFG, voicing_threshold=t) for t in thresholds]
+    kernel = [_pitch_batch(frame[np.newaxis, :], 16000, cfg) for cfg in configs]
+    numpy_only()
+    expected = [_pitch_batch(frame[np.newaxis, :], 16000, cfg) for cfg in configs]
+    assert not np.isnan(expected[0][0]) and np.isnan(expected[1][0])
+    assert [f.tobytes() for f in kernel] == [f.tobytes() for f in expected]
+
+
+def test_kernel_stress_equals_numpy_in_every_layout(numpy_only):
+    # numpy sums rows that lie along memory pairwise, and rows laid out
+    # column by column from left to right; the kernel sums only the first.
+    rng = np.random.default_rng(26)
+    grid = rng.normal(size=(7, 301))
+    layouts = [
+        grid,
+        grid[::-2, ::-3],
+        _frame_signal(rng.normal(size=500), 300, 1),
+        np.broadcast_to(rng.normal(size=(7, 1)), (7, 300)),
+        rng.normal(size=(300, 7)).T,
+        rng.normal(size=(300, 7)).T[:1],
+    ]
+    kernel = [stress_contour(frames) for frames in layouts]
+    numpy_only()
+    for frames, stress in zip(layouts, kernel):
+        assert stress.tobytes() == stress_contour(frames).tobytes()

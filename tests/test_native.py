@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import pick_f0
 from speechstyle import AudioClip, FrameConfig, _native, dtw_align, extract_features
 from speechstyle.features import _frame_args
 
@@ -67,13 +68,15 @@ def test_kernel_object_name_changes_with_the_flags_and_each_source(monkeypatch, 
 def test_exported_kernel_functions_match_their_signatures_and_callers():
     # A wrong argtypes entry corrupts memory silently, so the C
     # definitions, the ctypes signatures and the Python callers must agree.
+    scalars = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
     exported = {}
     for source in _native._KERNEL_SOURCES:
         for name, params in re.findall(
             r"^int64_t (speechstyle_\w+)\(([^)]*)\)\s*\{", source.read_text(), re.MULTILINE
         ):
             exported[name] = tuple(
-                ctypes.c_void_p if "*" in param else ctypes.c_int64 for param in params.split(",")
+                ctypes.c_void_p if "*" in param else scalars[param.split()[0]]
+                for param in params.split(",")
             )
     assert exported == _native._SIGNATURES
     package = Path(_native.__file__).parent
@@ -146,14 +149,20 @@ def _kernel_power_spectra(kernel, x, window, n):
     return out
 
 
-def _kernel_autocorrelation(kernel, x, n, lags):
-    out = np.empty((x.shape[0], lags))
-    assert kernel.speechstyle_autocorrelation(*_frame_args(x), n, lags, out.ctypes.data) == 0
+def _kernel_pitch(kernel, x, n, band):
+    out = np.empty(x.shape[0])
+    assert kernel.speechstyle_pitch(*_frame_args(x), n, *band, out.ctypes.data) == 0
+    return out
+
+
+def _kernel_mean_square(kernel, x):
+    out = np.empty(x.shape[0])
+    assert kernel.speechstyle_mean_square(*_frame_args(x), out.ctypes.data) == 0
     return out
 
 
 # The numpy formulas of the fallbacks in features._power_spectra and
-# features._autocorrelate, at a given FFT size.
+# features._autocorrelate, at a given FFT size, and _pitch_batch's pick.
 def _numpy_power_spectra(x, window, n):
     spectrum = np.fft.rfft(x * window, n, axis=1)
     power = np.square(spectrum.real)
@@ -162,28 +171,34 @@ def _numpy_power_spectra(x, window, n):
     return power
 
 
-def _numpy_autocorrelation(x, n, lags):
+def _numpy_pitch(x, n, band):
     spectrum = np.fft.rfft(x, n, axis=1)
     power = spectrum.real**2
     power += spectrum.imag**2
-    return np.fft.irfft(power, n, axis=1)[:, :lags]
+    ac = np.fft.irfft(power, n, axis=1)[:, : band[1] + 2]
+    return np.array([pick_f0(row, *band) for row in ac])
 
 
 def _check_both_passes(builds, x, size, rng):
     length = x.shape[1]
     window = rng.uniform(size=length)
-    lags = min(size, length + 2)
     expected_power = _numpy_power_spectra(x, window, size).tobytes()
-    expected_ac = _numpy_autocorrelation(x, size, lags).tobytes()
+    # Lags 2..length-2, f0 clamped below 1.75 and above length-1.75 lags,
+    # and a threshold so low that nearly every frame is refined: the f0
+    # bits then carry the autocorrelation's.
+    rate = 16000.0
+    band = (2, length - 2, rate, rate / (length - 1.75), rate / 1.75, 1e-3)
+    expected_pitch = _numpy_pitch(x, size, band).tobytes() if length >= 4 else None
     for name, kernel in builds.items():
         assert _kernel_power_spectra(kernel, x, window, size).tobytes() == expected_power, name
-        assert _kernel_autocorrelation(kernel, x, size, lags).tobytes() == expected_ac, name
+        if expected_pitch is not None:
+            assert _kernel_pitch(kernel, x, size, band).tobytes() == expected_pitch, name
 
 
 # Rows 1 to 17 fill one, two and part of a third group of eight lanes, and
 # every group of two; both builds run, so a wide host checks each width.
 @pytest.mark.parametrize("size", [1 << e for e in range(15)])
-def test_kernel_power_spectra_and_autocorrelation_equal_numpy_bit_for_bit(kernel_builds, size):
+def test_kernel_power_spectra_and_pitch_equal_numpy_bit_for_bit(kernel_builds, size):
     if not kernel_builds:
         pytest.skip("compiled kernels unavailable")
     rng = np.random.default_rng(size)
@@ -196,12 +211,28 @@ def test_kernel_power_spectra_and_autocorrelation_equal_numpy_bit_for_bit(kernel
     _check_both_passes(kernel_builds, rng.normal(size=(size, 3)).T, size, rng)
 
 
-def test_kernel_is_reentrant_across_threads():
-    from speechstyle.features import _autocorrelation, _power_spectra
+def test_kernel_mean_square_equals_numpy_bit_for_bit(kernel_builds):
+    # Lengths under 8, 8 to 128 and above 128 run every branch of numpy's
+    # pairwise sum; the kernel reads strided frames in place.
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(27)
+    for length in [*range(1, 301), 400, 441, 1102]:
+        grid = rng.normal(size=(4, 2 * length))
+        for frames in (grid[:, :length], grid[::-1, ::2]):
+            expected = np.mean(np.ascontiguousarray(frames) ** 2, axis=1).tobytes()
+            for name, kernel in kernel_builds.items():
+                assert _kernel_mean_square(kernel, frames).tobytes() == expected, (name, length)
 
+
+def test_kernel_is_reentrant_across_threads():
+    from speechstyle.features import _pitch_batch, _power_spectra, stress_contour
+
+    # A low threshold voices most noise frames, so f0 carries the bits.
+    cfg = FrameConfig(voicing_threshold=0.01)
     rng = np.random.default_rng(9)
     frames = [rng.normal(size=(rows, 1102)) for rows in (7, 40, 41, 64)]
-    # The last thread's autocorrelations grow its scratch from 512 to 4096
+    # The last thread's pitch FFTs grow its scratch from 512 to 4096
     # points, then reuse it at 1024, while the other threads run.
     growing = [rng.normal(size=(9, size // 2)) for size in (512, 4096, 1024)]
     jobs = [[f] for f in frames + frames] + [growing]
@@ -212,11 +243,13 @@ def test_kernel_is_reentrant_across_threads():
             for f in job
             for a in (
                 _power_spectra(f, np.hamming(f.shape[1]), 1 << (f.shape[1] - 1).bit_length()),
-                _autocorrelation(f, min(884, f.shape[1])),
+                _pitch_batch(f, 44100, cfg),
+                stress_contour(f),
             )
         ]
 
     serial = [run(job) for job in jobs]
+    assert all(np.isnan(_pitch_batch(f, 44100, cfg)).mean() < 0.5 for f in frames + growing)
     results = [None] * len(jobs)
 
     def work(k):
