@@ -24,32 +24,8 @@ _SIGNATURES = {
 }
 
 
-def _run_at_once(commands: list[list[str]]) -> None:
-    """Run the compiler commands side by side; OSError if one fails to start or exits non-zero."""
-    import subprocess  # only a cold cache compiles
-
-    running = []
-    try:
-        for command in commands:
-            running.append(
-                subprocess.Popen(
-                    command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
-                )
-            )
-    finally:
-        # Started ones are waited for even when a later one cannot start.
-        errors = [(process.communicate()[1], process.returncode) for process in running]
-    for stderr, code in errors:
-        if code != 0:
-            raise OSError(f"cc exited {code}: {stderr.strip()}")
-
-
 def _build_kernel() -> Path:
-    """Compile the kernel sources into the user cache once per source and flag set.
-
-    Each source compiles to its own object at the same time as the
-    others; one more call links them.
-    """
+    """Compile the kernel sources into the user cache once per source and flag set."""
     # A CRC-32 names the object: a digest from OpenSSL would map that library into every job.
     sources = b"".join(path.name.encode() + b"\0" + path.read_bytes() for path in _KERNEL_SOURCES)
     key = binascii.crc32(sources + " ".join(_KERNEL_FLAGS).encode())
@@ -57,23 +33,23 @@ def _build_kernel() -> Path:
     target = cache / f"kernels-{key:08x}.so"
     if target.exists():
         return target
+    import subprocess  # only a cold cache compiles
+
     cache.mkdir(parents=True, exist_ok=True)
     # A per-process, per-thread name plus an atomic rename: concurrent
     # builds never load a half-written object.
     partial = cache / f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    objects = [partial.with_name(f"{partial.name}.{k}.o") for k in range(len(_KERNEL_SOURCES))]
     try:
-        _run_at_once(
-            [
-                ["cc", *_KERNEL_FLAGS, "-c", "-o", str(obj), str(source)]
-                for obj, source in zip(objects, _KERNEL_SOURCES)
-            ]
+        done = subprocess.run(
+            ["cc", *_KERNEL_FLAGS, "-o", str(partial), *map(str, _KERNEL_SOURCES), "-lm"],
+            capture_output=True,
+            text=True,
         )
-        _run_at_once([["cc", *_KERNEL_FLAGS, "-o", str(partial), *map(str, objects), "-lm"]])
+        if done.returncode != 0:
+            raise OSError(f"cc exited {done.returncode}: {done.stderr.strip()}")
         os.replace(partial, target)
     finally:
-        for path in (partial, *objects):
-            path.unlink(missing_ok=True)
+        partial.unlink(missing_ok=True)
     return target
 
 

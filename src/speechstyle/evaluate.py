@@ -296,11 +296,11 @@ def evaluate_system(
     """
     check_threshold(threshold)
     entries = load_manifest(manifest)
-    ref_entries, test_entries = split_corpus(entries, seed)
     try:
+        ref_entries, test_entries = split_corpus(entries, seed)
         n_groups = label_grid(ref_entries)
-    except MissingCell as exc:
-        raise MissingCell(f"{manifest}: {exc}") from exc
+    except (CellTooSmall, MissingCell) as exc:
+        raise type(exc)(f"{manifest}: {exc}") from exc
     expert1 = _speaker_rank(test_entries, "expert1", manifest, n_groups)
     expert2 = _speaker_rank(test_entries, "expert2", manifest, n_groups)
     refs = build_reference_set(ref_entries, cfg, threshold, norm)

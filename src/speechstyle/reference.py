@@ -93,7 +93,9 @@ class ReferenceSet:
     __post_init__, and keeps the cells in (prompt, group) order, so cell
     (p, g) sits at position p * n_groups + g. Every ideal was extracted
     under config, all ideals share one sample rate, and every cell's
-    mean and variation pass _check_statistics.
+    mean and variation pass _check_statistics. Every ideal's spectral and
+    stress values are finite, and its pitch is NaN or in
+    [config.pitch_fmin, config.pitch_fmax].
     """
 
     config: FrameConfig
@@ -112,6 +114,8 @@ class ReferenceSet:
         if repeated:
             raise ValueError(f"groups {repeated} are listed more than once")
         rates = set()
+        # Extraction clamps f0 to this band and floors every log, so no other track can occur.
+        low, high = self.config.pitch_fmin, self.config.pitch_fmax
         for c in self.cells:
             if type(c.prompt) is not int or type(c.group) is not int:
                 raise ValueError(
@@ -132,6 +136,18 @@ class ReferenceSet:
                     )
                 if u.bundle.config != self.config:
                     raise ValueError(f"{where}: ideal {u.speaker!r} has another frame config")
+                for name in ("spectral", "stress"):
+                    if not np.isfinite(getattr(u.bundle, name)).all():
+                        raise ValueError(
+                            f"{where}: ideal {u.speaker!r} has non-finite {name} values"
+                        )
+                pitch = u.bundle.pitch
+                # NaN, an unvoiced frame, fails both comparisons.
+                if ((pitch < low) | (pitch > high)).any():
+                    raise ValueError(
+                        f"{where}: ideal {u.speaker!r} has pitch neither NaN"
+                        f" nor in [{low}, {high}] Hz"
+                    )
                 rates.add(u.bundle.sample_rate)
         if len(rates) > 1:
             raise ValueError(f"ideals mix sample rates {sorted(rates)}")

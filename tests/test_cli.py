@@ -688,6 +688,15 @@ def test_grid_holes_are_found_before_any_clip_is_read(capsys, tmp_path, monkeypa
     assert not out_path.exists()
 
 
+def test_evaluate_names_the_manifest_when_a_cell_is_too_small_to_split(capsys, tmp_path):
+    manifest = write_manifest(fake_corpus_entries(2, 2, 1), tmp_path / "small.csv")
+    code, out, err = _run(capsys, "evaluate", "--manifest", str(manifest))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {manifest}: cells (prompt, group) with fewer than 3 speakers: (0, 0), (0, 1)\n"
+    )
+
+
 def test_classify_checks_prompts_before_any_clip_is_read(
     cli_corpus, cli_model, capsys, tmp_path, monkeypatch
 ):

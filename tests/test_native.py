@@ -65,6 +65,41 @@ def test_kernel_object_name_changes_with_the_flags_and_each_source(monkeypatch, 
     assert all(path.exists() for path in (first, *built))
 
 
+def _add_a_bad_flag(monkeypatch, tmp_path):
+    monkeypatch.setattr(_native, "_KERNEL_FLAGS", (*_native._KERNEL_FLAGS, "-fno-such-option"))
+
+
+def _empty_the_path(monkeypatch, tmp_path):
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+
+
+def _fail_the_rename(monkeypatch, tmp_path):
+    # cc has written the partial object by then, so only the cleanup removes it.
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(_native.os, "replace", fail)
+
+
+@pytest.mark.parametrize(
+    "break_build, match",
+    [
+        pytest.param(_add_a_bad_flag, r"^cc exited \d+: ", marks=needs_cc, id="bad-flag"),
+        pytest.param(_empty_the_path, "'cc'", id="no-cc"),
+        pytest.param(_fail_the_rename, "^simulated rename failure$", marks=needs_cc, id="rename"),
+    ],
+)
+def test_failed_kernel_build_raises_and_leaves_the_cache_empty(
+    monkeypatch, tmp_path, break_build, match
+):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    break_build(monkeypatch, tmp_path)
+    with pytest.raises(OSError, match=match):
+        _native._build_kernel()
+    assert list((tmp_path / "cache" / "speechstyle").iterdir()) == []
+
+
 def test_exported_kernel_functions_match_their_signatures_and_callers():
     # A wrong argtypes entry corrupts memory silently, so the C
     # definitions, the ctypes signatures and the Python callers must agree.

@@ -49,6 +49,8 @@ from speechstyle.reference import (
     CellUtterance,
     ReferenceCell,
     ReferenceSet,
+    _array_from_json,
+    _array_to_json,
     build_corpus_index,
     check_threshold,
     default_group_labels,
@@ -573,15 +575,18 @@ def test_version_3_stores_tracks_as_base64_float64(tiny_corpus):
 _TRACK_VALUES = st.floats(width=64) | st.sampled_from(
     [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308]
 )
+_FINITE_VALUES = st.floats(width=64, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072e-308]
+)
 
 
 @st.composite
-def _odd_bundles(draw, cfg):
+def _bundles(draw, cfg, values=_TRACK_VALUES, pitch_values=_TRACK_VALUES):
     n = draw(st.integers(1, 200))
     return FeatureBundle(
-        spectral=draw(arrays(np.float64, (n, cfg.n_ceps), elements=_TRACK_VALUES)),
-        pitch=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
-        stress=draw(arrays(np.float64, n, elements=_TRACK_VALUES)),
+        spectral=draw(arrays(np.float64, (n, cfg.n_ceps), elements=values)),
+        pitch=draw(arrays(np.float64, n, elements=pitch_values)),
+        stress=draw(arrays(np.float64, n, elements=values)),
         config=cfg,
         sample_rate=16000,
     )
@@ -590,8 +595,22 @@ def _odd_bundles(draw, cfg):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n_ceps=st.sampled_from([1, 13]))
 def test_version_3_round_trips_any_float64_bit_for_bit(data, n_ceps):
+    # Any float64 track survives the encoding; a model document holds only
+    # tracks that ReferenceSet accepts, so it is drawn from those.
     cfg = FrameConfig(n_ceps=n_ceps)
-    bundles = data.draw(st.lists(_odd_bundles(cfg), min_size=1, max_size=3))
+    odd = data.draw(_bundles(cfg))
+    for name in ("spectral", "pitch", "stress"):
+        track = getattr(odd, name)
+        item = {"speaker": "s", name: _array_to_json(track)}
+        decoded = _array_from_json(json.loads(json.dumps(item)), name, track.ndim)
+        assert decoded.shape == track.shape
+        assert np.array_equal(_bits(decoded), _bits(track)), name
+    pitch_values = st.floats(cfg.pitch_fmin, cfg.pitch_fmax, width=64) | st.sampled_from(
+        [math.nan, -math.nan, cfg.pitch_fmin, cfg.pitch_fmax]
+    )
+    bundles = data.draw(
+        st.lists(_bundles(cfg, _FINITE_VALUES, pitch_values), min_size=1, max_size=3)
+    )
     cell = ReferenceCell(
         prompt=0,
         group=0,
@@ -618,6 +637,18 @@ def _break_stress(change):
 def _first_ideal(change):
     def mutate(doc):
         change(doc["cells"][0]["ideals"][0])
+
+    return mutate
+
+
+def _set_value(name, index, value):
+    """Set one value of the first ideal's track, re-encoded."""
+
+    def mutate(doc):
+        track = doc["cells"][0]["ideals"][0][name]
+        values = np.frombuffer(base64.b64decode(track["float64le"]), "<f8").copy()
+        values[index] = value
+        track["float64le"] = base64.b64encode(values.tobytes()).decode()
 
     return mutate
 
@@ -687,6 +718,14 @@ def _narrow_spectral(ideal, columns=5):
             _first_ideal(_narrow_spectral),
             r"spectral of ideal '.+': 5 coefficients per frame, but frame_config has n_ceps 13$",
         ),
+        (_set_value("spectral", 5, math.nan), r"\(prompt 0, group 0\): ideal '.+' has non-finite spectral values$"),
+        (_set_value("spectral", -1, -math.inf), r"\(prompt 0, group 0\): ideal '.+' has non-finite spectral values$"),
+        (_set_value("stress", 0, math.nan), r"\(prompt 0, group 0\): ideal '.+' has non-finite stress values$"),
+        (_set_value("stress", -1, math.inf), r"\(prompt 0, group 0\): ideal '.+' has non-finite stress values$"),
+        (_set_value("pitch", 0, math.inf), r"ideal '.+' has pitch neither NaN nor in \[50\.0, 500\.0\] Hz$"),
+        (_set_value("pitch", 0, -math.inf), r"ideal '.+' has pitch neither NaN nor in \[50\.0, 500\.0\] Hz$"),
+        (_set_value("pitch", -1, math.nextafter(50.0, 0.0)), r"ideal '.+' has pitch neither NaN nor in"),
+        (_set_value("pitch", -1, math.nextafter(500.0, math.inf)), r"ideal '.+' has pitch neither NaN nor in"),
         (_first_cell(variation="nan"), r"cell \(prompt 0, group 0\): variation must be finite and nonnegative, got 'nan'$"),
         (_first_cell(variation=-1.0), r"cell \(prompt 0, group 0\): variation must be .*, got -1\.0$"),
         (_first_cell(variation="Infinity"), r"cell \(prompt 0, group 0\): variation must be .*, got 'Infinity'$"),
