@@ -47,6 +47,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _frame_config(text: str | None) -> FrameConfig:
     """Read --frame-config: inline JSON if it opens with {, [ or ", else a JSON file path."""
     if not text:
@@ -63,7 +70,7 @@ def _frame_config(text: str | None) -> FrameConfig:
 
 
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=42, help="RNG seed (default 42)"),
+    "--seed": dict(type=_nonneg_int, default=42, help="RNG seed (default 42)"),
     "--norm": dict(
         choices=[n.value for n in NormKind], default="l2", help="scalarization norm (default l2)"
     ),

@@ -26,6 +26,8 @@ LABEL_HEADER = ("subject", "rank")
 
 _ENVELOPE_FLOOR = 0.10
 _FORMANT_BANDWIDTHS = np.array([110.0, 160.0, 220.0])
+# The slowest speaker tempo; a clip at it is the shortest one synth renders.
+_MIN_TEMPO = 0.85
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,15 @@ class SynthConfig:
             raise ValueError(f"sample_rate must be one of {SUPPORTED_RATES}")
         if not 0 < self.duration_ms < np.inf:
             raise ValueError(f"duration_ms must be positive and finite, got {self.duration_ms!r}")
+        if _clip_length(self, _MIN_TEMPO) < 1:
+            raise ValueError(f"duration_ms {self.duration_ms!r} leaves the shortest clip empty")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must lie in [0, 1]")
+
+
+def _clip_length(cfg: SynthConfig, tempo: float) -> int:
+    """Samples in a clip rendered at tempo."""
+    return int(round(cfg.duration_ms / 1000.0 * tempo * cfg.sample_rate))
 
 
 def _group_scales(groups: int) -> np.ndarray:
@@ -263,7 +272,7 @@ def _render(
     noise_rng: np.random.Generator | None,
 ) -> np.ndarray:
     sr = cfg.sample_rate
-    n = int(round(cfg.duration_ms / 1000.0 * tempo * sr))
+    n = _clip_length(cfg, tempo)
     x01 = np.arange(n) / max(n - 1, 1)
     contour = _eased_nodes(x01, template.node_offsets + node_delta)
     f0 = template.base_f0 * 2.0 ** (contour / 12.0)
@@ -340,7 +349,7 @@ def _render_utterance(
     gain_shift = gain_shift + 0.14 * scale * spk_rng.standard_normal((n_syl, 3))
     node_delta = node_delta + 0.7 * scale * spk_rng.standard_normal(n_nodes)
     stress_shift = stress_shift + 0.16 * scale * spk_rng.standard_normal(n_syl)
-    tempo = float(np.clip(1.0 + 0.05 * spk_rng.standard_normal(), 0.85, 1.15))
+    tempo = float(np.clip(1.0 + 0.05 * spk_rng.standard_normal(), _MIN_TEMPO, 1.15))
     noise_rng = np.random.default_rng([cfg.seed, 41, prompt, group, speaker_idx])
     return _render(
         cfg,

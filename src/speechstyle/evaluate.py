@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -100,114 +101,22 @@ def agreement(a: LabelVector, b: LabelVector, n_groups: int | None = None) -> Ag
     )
 
 
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _seed_sequence_state(seed: int) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as Python ints.
-
-    The seed enters as 32-bit words, low word first, mixed into a pool
-    of four words; the state is eight words drawn from the pool, read
-    in pairs as little-endian 64-bit words.
-    """
-    entropy = [seed & _MASK32]
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-class _Permutations:
-    """numpy's default_rng(seed).permutation(n), replayed in plain Python.
-
-    A PCG64 generator seeded through SeedSequence, its 32-bit draws
-    (each 64-bit output serves two, low half first) and Generator.shuffle's
-    Fisher-Yates pass with masked rejection draws. Successive calls share
-    one generator, as successive rng.permutation calls do. The split
-    needs only this, and numpy.random would map OpenSSL into the process
-    through secrets and hmac; the copy also pins the split against
-    numpy changing its streams, which NEP 19 allows.
-    """
-
-    def __init__(self, seed: int) -> None:
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        state = _seed_sequence_state(seed)
-        self._inc = (state[2] << 64 | state[3]) << 1 | 1
-        self._state = 0
-        self._step()
-        self._state = self._state + (state[0] << 64 | state[1]) & _MASK128
-        self._step()
-        self._spare: int | None = None
-
-    def _step(self) -> None:
-        self._state = self._state * _PCG64_MULT + self._inc & _MASK128
-
-    def _next32(self) -> int:
-        if self._spare is not None:
-            value, self._spare = self._spare, None
-            return value
-        self._step()
-        rot = self._state >> 122
-        xored = (self._state >> 64 ^ self._state) & _MASK64
-        value = (xored >> rot | xored << (64 - rot)) & _MASK64
-        self._spare = value >> 32
-        return value & _MASK32
-
-    def permutation(self, n: int) -> list[int]:
-        """Draws 32 bits per try, as numpy does while n <= 2**32."""
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while (j := self._next32() & mask) > i:
-                pass
-            order[i], order[j] = order[j], order[i]
-        return order
-
-
 def split_corpus(
     entries: Sequence[ManifestEntry], seed: int
 ) -> tuple[list[ManifestEntry], list[ManifestEntry]]:
     """Deterministic stratified speaker split: two thirds reference, one third test.
 
-    Speakers never straddle the split. Each group sends floor(N/3) or
-    ceil(N/3) of its N speakers to the test side, chosen by the
-    permutations numpy.random.default_rng(seed) would draw. Raises
-    ValueError for a negative seed, and CellTooSmall when any
+    Speakers never straddle the split. Each group, in rank order, draws one
+    random() per speaker, in sorted order, from one random.Random(seed), and
+    sends its max(1, round(N/3)) smallest draws to the test side, ties to the
+    smaller id; Python keeps random()'s sequence fixed across versions.
+    Raises ValueError for a negative seed, and CellTooSmall when any
     (prompt, group) cell has fewer than three speakers.
     """
-    shuffler = _Permutations(seed)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    rng = random.Random(seed)
     groups: dict[int, set[str]] = {}
     cell_speakers: dict[tuple[int, int], set[str]] = {}
     for entry in entries:
@@ -222,10 +131,9 @@ def split_corpus(
         )
     test_speakers: set[str] = set()
     for group in sorted(groups):
-        speakers = sorted(groups[group])
-        order = shuffler.permutation(len(speakers))
-        n_test = max(1, round(len(speakers) / 3))
-        test_speakers.update(speakers[i] for i in order[:n_test])
+        draws = sorted((rng.random(), speaker) for speaker in sorted(groups[group]))
+        n_test = max(1, round(len(draws) / 3))
+        test_speakers.update(speaker for _, speaker in draws[:n_test])
     reference = [e for e in entries if e.speaker not in test_speakers]
     test = [e for e in entries if e.speaker in test_speakers]
     return reference, test

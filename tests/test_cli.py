@@ -119,6 +119,7 @@ _BAD_SYNTH_VALUES = [
     ("--duration-ms", "0", "duration_ms"),
     ("--duration-ms", "inf", "duration_ms"),
     ("--duration-ms", "nan", "duration_ms"),
+    ("--duration-ms", "0.01", "duration_ms"),
     ("--label-noise", "2", "label_noise"),
     ("--label-noise", "-0.1", "label_noise"),
     ("--label-noise", "nan", "label_noise"),
@@ -160,6 +161,15 @@ def test_non_finite_threshold_is_usage_error(cli_corpus, capsys, tmp_path, comma
     assert f"usage: speechstyle {command} " in err
     assert stdout == ""
     assert not out.exists()
+
+
+def test_negative_evaluate_seed_is_usage_error_before_the_manifest_is_read(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    code, stdout, err = _run(capsys, "evaluate", "--manifest", str(missing), "--seed", "-1")
+    assert (code, stdout) == (1, "")
+    assert err.splitlines()[0] == "error: argument --seed: must be a nonnegative integer, got -1"
+    assert "usage: speechstyle evaluate " in err
+    assert str(missing) not in err
 
 
 def test_synth_reports_manifest_and_count(capsys, tmp_path):
@@ -760,11 +770,12 @@ def test_evaluate_names_a_clip_at_an_unsupported_rate(small_corpus, capsys, tmp_
 
 
 def _evaluate_with_an_odd_rate_and_a_silent_clip(
-    small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at, silent_at
+    small_corpus, capsys, tmp_path, monkeypatch, bad_reference_first
 ):
     """evaluate's error at one and at two workers, which must agree, and the odd-rate clip.
 
-    Entries 0-3 and 8 of the small corpus belong to reference speakers, 4-7 to test speakers.
+    The odd-rate clip replaces a reference row, never the first, whose rate is the
+    corpus rate; the silent clip replaces a test row, after it or before it.
     """
     odd_rate = tmp_path / "odd_rate.wav"
     speechstyle.write_wav(odd_rate, speechstyle.AudioClip(np.full(4000, 0.5), 8000))
@@ -773,7 +784,14 @@ def _evaluate_with_an_odd_rate_and_a_silent_clip(
     _, manifest = small_corpus
     entries = load_manifest(manifest)
     _, test_entries = split_corpus(entries, seed=42)
-    assert [k for k in (0, 1, 2, 3, 4, 5, 6, 7, 8) if entries[k] in test_entries] == [4, 5, 6, 7]
+    test_rows = [k for k, e in enumerate(entries) if e in test_entries]
+    ref_rows = [k for k, e in enumerate(entries) if e not in test_entries]
+    if bad_reference_first:
+        odd_rate_at = ref_rows[1]
+        silent_at = next(k for k in test_rows if k > odd_rate_at)
+    else:
+        silent_at = test_rows[0]
+        odd_rate_at = next(k for k in ref_rows[1:] if k > silent_at)
     entries[odd_rate_at] = dataclasses.replace(entries[odd_rate_at], path=odd_rate)
     entries[silent_at] = dataclasses.replace(entries[silent_at], path=silent)
     swapped = write_manifest(entries, tmp_path / "swapped.csv")
@@ -791,7 +809,7 @@ def test_evaluate_reports_the_same_first_bad_clip_at_any_worker_count(
     small_corpus, capsys, tmp_path, monkeypatch
 ):
     err, odd_rate = _evaluate_with_an_odd_rate_and_a_silent_clip(
-        small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at=3, silent_at=7
+        small_corpus, capsys, tmp_path, monkeypatch, bad_reference_first=True
     )
     assert err.startswith(f"error: {odd_rate}: sample rate 8000 differs")
 
@@ -800,7 +818,7 @@ def test_evaluate_reports_a_bad_reference_clip_before_an_earlier_bad_test_clip(
     small_corpus, capsys, tmp_path, monkeypatch
 ):
     err, odd_rate = _evaluate_with_an_odd_rate_and_a_silent_clip(
-        small_corpus, capsys, tmp_path, monkeypatch, odd_rate_at=8, silent_at=4
+        small_corpus, capsys, tmp_path, monkeypatch, bad_reference_first=False
     )
     assert err == f"error: {odd_rate}: sample rate 8000 differs from corpus rate 16000\n"
 

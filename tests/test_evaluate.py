@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,6 @@ from speechstyle import (
 from speechstyle.cli import main
 from speechstyle.corpus import ManifestEntry
 from speechstyle.errors import CellTooSmall, MissingLabel, RankOutOfRange, SubjectMismatch
-from speechstyle.evaluate import _Permutations
 
 
 def _vector(ranks):
@@ -205,31 +207,57 @@ def test_split_is_deterministic_and_seed_sensitive():
     assert {e.speaker for e in test_other} != {e.speaker for e in test_a}
 
 
+_SEED_42_TEST_SET = set("g0s01 g0s03 g1s01 g1s03 g2s00 g2s01 g3s01 g3s05 g4s02 g4s03".split())
+
+
 def test_split_pinned_selection_for_default_seed():
     entries = fake_corpus_entries(5, 6, 4)
     _, test = split_corpus(entries, seed=42)
-    assert {e.speaker for e in test} == {
-        "g0s02",
-        "g0s03",
-        "g1s02",
-        "g1s04",
-        "g2s04",
-        "g2s05",
-        "g3s00",
-        "g3s04",
-        "g4s00",
-        "g4s05",
-    }
+    assert {e.speaker for e in test} == _SEED_42_TEST_SET
 
 
-def test_split_permutations_match_numpy_default_rng():
-    # One generator serves n = 1..100 in turn, as the split serves its
-    # groups, so the buffered upper half of a 64-bit draw carries over.
-    for seed in [*range(200), 2**32 - 1, 2**32, 2**64 + 5, 2**73 + 12345, 2**200 - 1, np.int64(42)]:
-        rng = np.random.default_rng(seed)
-        copy = _Permutations(seed)
-        for n in range(1, 101):
-            assert copy.permutation(n) == rng.permutation(n).tolist(), (seed, n)
+@pytest.mark.parametrize(
+    "seed,expected",
+    [
+        (0, set("g0s03 g0s05 g1s01 g1s02 g2s00 g2s03 g3s02 g3s05 g4s01 g4s02".split())),
+        (2**32, set("g0s00 g0s02 g1s01 g1s02 g2s03 g2s05 g3s02 g3s03 g4s03 g4s04".split())),
+        (2**200 - 1, set("g0s00 g0s03 g1s03 g1s05 g2s00 g2s05 g3s00 g3s02 g4s00 g4s04".split())),
+        (np.int64(42), _SEED_42_TEST_SET),
+    ],
+)
+def test_split_pinned_selection_for_wide_and_numpy_seeds(seed, expected):
+    _, test = split_corpus(fake_corpus_entries(5, 6, 4), seed)
+    assert {e.speaker for e in test} == expected
+
+
+def test_split_ignores_the_order_of_manifest_rows():
+    entries = fake_corpus_entries(5, 6, 4)
+    ref, test = split_corpus(entries, seed=42)
+    ref_rev, test_rev = split_corpus(entries[::-1], seed=42)
+    assert (ref_rev, test_rev) == (ref[::-1], test[::-1])
+
+
+def test_split_ignores_the_string_hash_seed():
+    # The groups are sets of speaker ids; drawing in set order would tie the
+    # split to PYTHONHASHSEED, which one process alone can never show.
+    script = (
+        "from _helpers import fake_corpus_entries\n"
+        "from speechstyle import split_corpus\n"
+        "_, test = split_corpus(fake_corpus_entries(5, 6, 4), 42)\n"
+        "print(*sorted({e.speaker for e in test}))\n"
+    )
+    here = Path(__file__).resolve().parent
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        path = os.pathsep.join([str(src), str(here)])
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert outputs == {" ".join(sorted(_SEED_42_TEST_SET)) + "\n"}
 
 
 def test_split_rejects_a_negative_seed():
