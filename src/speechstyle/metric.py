@@ -203,7 +203,11 @@ def _similarity(u: np.ndarray, v: np.ndarray) -> float:
         return 1.0
     if u_flat or v_flat:
         return 0.0
-    r = float(np.dot(du, dv) / np.sqrt(np.dot(du, du) * np.dot(dv, dv)))
+    # np.add.reduce sums in numpy's pairwise order on every host; np.dot
+    # runs a BLAS kernel picked from the CPU.
+    r = float(
+        np.add.reduce(du * dv) / np.sqrt(np.add.reduce(du * du) * np.add.reduce(dv * dv))
+    )
     return min(max(r, -1.0), 1.0)
 
 

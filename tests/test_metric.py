@@ -276,7 +276,7 @@ def _old_similarity(u, v):
         return 0.0
     du = u - u.mean()
     dv = v - v.mean()
-    r = float(np.dot(du, dv) / np.sqrt(np.dot(du, du) * np.dot(dv, dv)))
+    r = float(np.add.reduce(du * dv) / np.sqrt(np.add.reduce(du * du) * np.add.reduce(dv * dv)))
     return min(max(r, -1.0), 1.0)
 
 
