@@ -1,4 +1,6 @@
-/* DTW alignment of two feature tracks, bit-identical to metric._align_python.
+/* DTW alignment of two feature tracks, bit-identical to metric._align_python,
+ * and the pitch and stress correlations along its path, bit-identical to
+ * metric._path_similarity.
  *
  * Build (with _fft.c): cc -O3 -ffp-contract=off -fno-math-errno -fPIC -shared ... -lm
  * No -ffast-math: every sum, product and comparison must round exactly as
@@ -9,6 +11,12 @@
 #include <stdlib.h>
 
 enum { DIAG = 1, VERT = 2, HORIZ = 3 };
+
+/* metric.DEGENERATE_VARIANCE */
+#define DEGENERATE_VARIANCE 1e-10
+
+/* numpy's pairwise sum of x[i * xstep] * y[i * ystep] for i < n, in _fft.c. */
+double pairwise_dot(const double *x, int64_t xstep, const double *y, int64_t ystep, int64_t n);
 
 /* out[j] = sum of (a[k] - b[j][k])^2 over k < n, for j < m, in numpy's
  * pairwise summation order, so that each equals ((a - b[j]) ** 2).sum()
@@ -155,4 +163,61 @@ int64_t speechstyle_dtw(const double *a, const double *b, int64_t n, int64_t m, 
     free(acc);
     free(move);
     return start;
+}
+
+/* metric._similarity of the k >= 1 values in u and v, which it overwrites
+ * with their deviations from their means. */
+static double similarity(double *u, double *v, int64_t k)
+{
+    static const double one = 1.0;
+    double mean_u = pairwise_dot(u, 1, &one, 0, k) / (double)k;
+    double mean_v = pairwise_dot(v, 1, &one, 0, k) / (double)k;
+    for (int64_t i = 0; i < k; i++) {
+        u[i] -= mean_u;
+        v[i] -= mean_v;
+    }
+    double uu = pairwise_dot(u, 1, u, 1, k), vv = pairwise_dot(v, 1, v, 1, k);
+    int u_flat = uu / (double)k < DEGENERATE_VARIANCE;
+    int v_flat = vv / (double)k < DEGENERATE_VARIANCE;
+    if (u_flat && v_flat)
+        return 1.0;
+    if (u_flat || v_flat)
+        return 0.0;
+    double r = pairwise_dot(u, 1, v, 1, k) / sqrt(uu * vv);
+    /* Python's min(max(r, -1.0), 1.0), which keeps a NaN. */
+    r = -1.0 > r ? -1.0 : r;
+    return 1.0 < r ? 1.0 : r;
+}
+
+/* The p and ir of metric.compute_triplet along the k >= 1 path pairs
+ * (rows[i], cols[i]) between bundles a and b of n and m frames. Each
+ * bundle holds its pitch, np.log of its pitch, and its stress, one track
+ * after another. p correlates log f0 over the pairs whose pitch is not
+ * NaN on either side, 0 when fewer than two are, and ir correlates stress
+ * over every pair. Writes out[0] = p and out[1] = ir; returns 0, or -1 if
+ * scratch memory is short. */
+int64_t speechstyle_path_similarity(const int64_t *rows, const int64_t *cols, int64_t k,
+                                    const double *a, int64_t n, const double *b, int64_t m,
+                                    double *out)
+{
+    const double *log_pitch_a = a + n, *stress_a = a + 2 * n;
+    const double *log_pitch_b = b + m, *stress_b = b + 2 * m;
+    double *u = malloc(4 * (size_t)k * sizeof(double));
+    if (u == NULL)
+        return -1;
+    double *v = u + k, *su = v + k, *sv = su + k;
+    int64_t voiced = 0;
+    for (int64_t i = 0; i < k; i++) {
+        if (!isnan(a[rows[i]]) && !isnan(b[cols[i]])) {
+            u[voiced] = log_pitch_a[rows[i]];
+            v[voiced] = log_pitch_b[cols[i]];
+            voiced++;
+        }
+        su[i] = stress_a[rows[i]];
+        sv[i] = stress_b[cols[i]];
+    }
+    out[0] = voiced < 2 ? 0.0 : similarity(u, v, voiced);
+    out[1] = similarity(su, sv, k);
+    free(u);
+    return 0;
 }

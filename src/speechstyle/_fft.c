@@ -253,35 +253,39 @@ int64_t speechstyle_pitch(const double *x, int64_t rows, int64_t len, int64_t ro
     return pitch_2(x, rows, len, row_step, col_step, n, &b, out);
 }
 
-/* numpy's pairwise_sum, which np.add.reduce runs on each contiguous row,
- * over the squares of x[0], x[step], ..., x[(n - 1) * step]: one running
- * sum below 8 values, eight up to 128, and above that two halves split
- * at a multiple of 8. This and pick below stay out of line: inlined,
- * the two made the cold compile about 0.4 s longer and ran no faster. */
-__attribute__((noinline)) static double sum_squares(const double *x, int64_t n, int64_t step)
+/* numpy's pairwise_sum, which np.add.reduce runs on a contiguous array,
+ * over x[i * xstep] * y[i * ystep] for i < n: one running sum below 8
+ * values, eight up to 128, and above that two halves split at a multiple
+ * of 8. The mean squares below and the path kernel in _dtw.c sum with it;
+ * a step of 0 on a 1.0 sums x alone. This and pick below stay out of
+ * line: inlined, the two made the cold compile about 0.4 s longer and ran
+ * no faster. */
+__attribute__((noinline, visibility("hidden"))) double
+pairwise_dot(const double *x, int64_t xstep, const double *y, int64_t ystep, int64_t n)
 {
     if (n < 8) {
         double sum = 0.0;
         for (int64_t i = 0; i < n; i++)
-            sum += x[i * step] * x[i * step];
+            sum += x[i * xstep] * y[i * ystep];
         return sum;
     }
     if (n <= 128) {
         double r[8];
         for (int64_t j = 0; j < 8; j++)
-            r[j] = x[j * step] * x[j * step];
+            r[j] = x[j * xstep] * y[j * ystep];
         int64_t i = 8;
         for (; i < n - n % 8; i += 8)
             for (int64_t j = 0; j < 8; j++)
-                r[j] += x[(i + j) * step] * x[(i + j) * step];
+                r[j] += x[(i + j) * xstep] * y[(i + j) * ystep];
         double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            sum += x[i * step] * x[i * step];
+            sum += x[i * xstep] * y[i * ystep];
         return sum;
     }
     int64_t half = n / 2;
     half -= half % 8;
-    return sum_squares(x, half, step) + sum_squares(x + half * step, n - half, step);
+    return pairwise_dot(x, xstep, y, ystep, half)
+           + pairwise_dot(x + half * xstep, xstep, y + half * ystep, ystep, n - half);
 }
 
 /* The mean squares of stress_contour, np.mean(frames ** 2, axis=1), for
@@ -289,8 +293,10 @@ __attribute__((noinline)) static double sum_squares(const double *x, int64_t n, 
 int64_t speechstyle_mean_square(const double *x, int64_t rows, int64_t len, int64_t row_step,
                                 int64_t col_step, double *out)
 {
-    for (int64_t r = 0; r < rows; r++)
-        out[r] = sum_squares(x + r * row_step, len, col_step) / (double)len;
+    for (int64_t r = 0; r < rows; r++) {
+        const double *frame = x + r * row_step;
+        out[r] = pairwise_dot(frame, col_step, frame, col_step, len) / (double)len;
+    }
     return 0;
 }
 
@@ -538,7 +544,7 @@ TARGET static int64_t NAME(power_spectra)(const double *x, int64_t rows, int64_t
  * NaN, which no frame voices), voiced when it reaches threshold times a
  * positive lag 0; then the parabola through it and its neighbours moves
  * the lag by at most one at a true peak. Returns f0 clamped to the band,
- * or NaN. Out of line, as sum_squares is. */
+ * or NaN. Out of line, as pairwise_dot is. */
 TARGET __attribute__((noinline)) static double NAME(pick)(const V *ac, int64_t l, double fct,
                                                           const struct band *b)
 {

@@ -18,10 +18,25 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # Argument types of each exported function; each returns an int64.
 _SIGNATURES = {
     "speechstyle_dtw": (_P, _P, _I, _I, _I, _P, _P, _P),
+    "speechstyle_path_similarity": (_P, _P, _I, _P, _I, _P, _I, _P),
     "speechstyle_power_spectra": (_P, _I, _I, _I, _I, _P, _I, _P),
     "speechstyle_pitch": (_P, _I, _I, _I, _I, _I, _I, _I, _D, _D, _D, _D, _P),
     "speechstyle_mean_square": (_P, _I, _I, _I, _I, _P),
 }
+
+
+def address(array) -> int:
+    """The address of a C-contiguous array's first byte.
+
+    A ctypes view of a writable array's buffer costs about a third of
+    array.ctypes.data, which builds a helper object on each call.
+    Read-only and empty arrays, which ctypes cannot view, take
+    array.ctypes.data.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def _build_kernel() -> Path:

@@ -40,15 +40,23 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+# ArgumentTypeError, not ValueError, for text that does not parse: argparse
+# names the type function in a ValueError's message.
 def _nonneg_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
     return value

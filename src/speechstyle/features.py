@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, asdict, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,6 +104,16 @@ class FeatureBundle:
     @property
     def frame_count(self) -> int:
         return self.spectral.shape[0]
+
+    @cached_property
+    def _path_tracks(self) -> np.ndarray:
+        """pitch, np.log(pitch) and stress, the rows of one C-contiguous float64 array.
+
+        metric's path kernel reads it. It is made on first use and kept,
+        so a bundle scored against many others converts its tracks once;
+        a track changed in place after that is not seen.
+        """
+        return np.array([self.pitch, np.log(self.pitch), self.stress], dtype=np.float64)
 
 
 def _window_sizes(cfg: FrameConfig, sample_rate: int) -> tuple[int, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,7 +58,7 @@ def scalarize(t: Triplet, norm: NormKind = NormKind.L2) -> float:
     if norm is NormKind.L1:
         return v[0] + v[1] + v[2]
     if norm is NormKind.L2:
-        return float(np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
+        return math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
     return max(v)
 
 
@@ -66,7 +67,8 @@ class AlignmentPath:
     """Monotone frame pairing with its accumulated weighted cost.
 
     rows[k] and cols[k] are the frame indices of the k-th pair, from
-    (0, 0) to (len(a) - 1, len(b) - 1).
+    (0, 0) to (len(a) - 1, len(b) - 1); dtw_align returns both as
+    C-contiguous int64 arrays.
     """
 
     rows: np.ndarray
@@ -83,10 +85,11 @@ def _align_kernel(kernel, a: np.ndarray, b: np.ndarray) -> AlignmentPath:
     b = np.ascontiguousarray(b)
     n, m = a.shape[0], b.shape[0]
     path = np.empty((2, n + m - 1), dtype=np.int64)
+    address = _native.address(path)
     cost = ctypes.c_double()
     start = kernel.speechstyle_dtw(
-        a.ctypes.data, b.ctypes.data, n, m, a.shape[1],
-        path.ctypes.data, path[1].ctypes.data, ctypes.byref(cost),
+        _native.address(a), _native.address(b), n, m, a.shape[1],
+        address, address + path.strides[0], ctypes.byref(cost),
     )
     if start < 0:
         raise MemoryError(f"no memory to align tracks of {n} and {m} frames")
@@ -140,7 +143,7 @@ def _align_python(a: np.ndarray, b: np.ndarray) -> AlignmentPath:
         else:
             break
     pairs.reverse()
-    rows, cols = np.array(pairs, dtype=np.int64).T
+    rows, cols = np.array(pairs, dtype=np.int64).T.copy()
     return AlignmentPath(rows=rows, cols=cols, cost=acc[n - 1][m - 1])
 
 
@@ -211,6 +214,40 @@ def _similarity(u: np.ndarray, v: np.ndarray) -> float:
     return min(max(r, -1.0), 1.0)
 
 
+def _path_similarity(
+    a: FeatureBundle, b: FeatureBundle, rows: np.ndarray, cols: np.ndarray
+) -> tuple[float, float]:
+    """p and ir along the path (rows, cols) in numpy: the kernel's specification and fallback."""
+    pitch_a = a.pitch[rows]
+    pitch_b = b.pitch[cols]
+    both_voiced = ~np.isnan(pitch_a) & ~np.isnan(pitch_b)
+    if both_voiced.sum() < 2:
+        p = 0.0
+    else:
+        p = _similarity(np.log(pitch_a[both_voiced]), np.log(pitch_b[both_voiced]))
+    return p, _similarity(a.stress[rows], b.stress[cols])
+
+
+def _path_similarity_kernel(
+    kernel, a: FeatureBundle, b: FeatureBundle, rows: np.ndarray, cols: np.ndarray
+) -> tuple[float, float]:
+    """_path_similarity in the compiled kernel, equal bit for bit.
+
+    rows and cols must be C-contiguous int64 arrays, as dtw_align returns them.
+    """
+    # Held until the call returns: on Python 3.12 and later, two threads
+    # may both make a bundle's tracks, and the copy cached last frees the other.
+    tracks_a, tracks_b = a._path_tracks, b._path_tracks
+    out = (ctypes.c_double * 2)()
+    if kernel.speechstyle_path_similarity(
+        _native.address(rows), _native.address(cols), rows.size,
+        _native.address(tracks_a), tracks_a.shape[1],
+        _native.address(tracks_b), tracks_b.shape[1], out,
+    ) < 0:
+        raise MemoryError(f"no memory to score a path of {rows.size} pairs")
+    return out[0], out[1]
+
+
 def _sorts_after(a: FeatureBundle, b: FeatureBundle) -> bool:
     """Whether a sorts after b: by frame count, then by the bytes of its tracks."""
     if a.frame_count != b.frame_count:
@@ -227,21 +264,21 @@ def compute_triplet(a: FeatureBundle, b: FeatureBundle) -> Triplet:
     cost divided by the summed frame counts, p correlates log-f0 over
     path pairs voiced on both sides (0 when fewer than two exist), and
     ir correlates the stress contours over every path pair.
+
+    p and ir are summed in the compiled kernel (_dtw.c) where it loads,
+    else in numpy (_path_similarity), with equal results bit for bit.
     """
     if a.config != b.config:
         raise ConfigMismatch("feature bundles come from different frame configs")
     # Tied paths are broken by move order, which swapping the tracks
     # changes; one fixed orientation per pair keeps the triplet symmetric.
-    swap = _sorts_after(a, b)
-    path = dtw_align(b.spectral, a.spectral) if swap else dtw_align(a.spectral, b.spectral)
-    rows, cols = (path.cols, path.rows) if swap else (path.rows, path.cols)
-    id_dist = path.cost / (a.frame_count + b.frame_count)
-    pitch_a = a.pitch[rows]
-    pitch_b = b.pitch[cols]
-    both_voiced = ~np.isnan(pitch_a) & ~np.isnan(pitch_b)
-    if both_voiced.sum() < 2:
-        p = 0.0
+    # p and ir do not depend on the order of the bundles, bit for bit.
+    if _sorts_after(a, b):
+        a, b = b, a
+    path = dtw_align(a.spectral, b.spectral)
+    kernel = _native._load_kernel()
+    if kernel is None:
+        p, ir = _path_similarity(a, b, path.rows, path.cols)
     else:
-        p = _similarity(np.log(pitch_a[both_voiced]), np.log(pitch_b[both_voiced]))
-    ir = _similarity(a.stress[rows], b.stress[cols])
-    return Triplet(id=id_dist, p=p, ir=ir)
+        p, ir = _path_similarity_kernel(kernel, a, b, path.rows, path.cols)
+    return Triplet(id=path.cost / (a.frame_count + b.frame_count), p=p, ir=ir)

@@ -155,3 +155,21 @@ def write_float_wav(path, rate, data):
     fmt = fmt_chunk(0x0003, channels, rate, 8 * data.dtype.itemsize)
     samples = data.astype(f"<f{data.dtype.itemsize}").tobytes()
     path.write_bytes(riff_wav([(b"fmt ", fmt), (b"data", samples)]))
+
+
+def log_gather_mismatches(seed=12):
+    """Track lengths at which np.log(track)[rows][mask] and np.log(track[rows][mask]) differ in any bit.
+
+    Pitch-like tracks with NaN gaps, of every length from 1 to 300, so
+    that numpy's vector loops meet every remainder.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = []
+    for n in range(1, 301):
+        values = rng.uniform(50.0, 500.0, n) if n % 2 else np.exp(rng.uniform(-700.0, 700.0, n))
+        track = np.where(rng.random(n) < 0.7, values, np.nan)
+        rows = np.sort(rng.integers(0, n, size=2 * n))
+        mask = ~np.isnan(track[rows]) & (rng.random(2 * n) < 0.8)
+        if np.log(track)[rows][mask].tobytes() != np.log(track[rows][mask]).tobytes():
+            lengths.append(n)
+    return lengths

@@ -172,6 +172,20 @@ def test_negative_evaluate_seed_is_usage_error_before_the_manifest_is_read(capsy
     assert str(missing) not in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("evaluate", "--seed"), ("evaluate", "--threshold"), ("build-refs", "--threshold")],
+)
+def test_unparsable_number_is_usage_error_naming_the_flag(capsys, tmp_path, command, flag):
+    argv = [command, "--manifest", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")]
+    code, stdout, err = _run(capsys, *argv, flag, "abc")
+    assert (code, stdout) == (1, "")
+    assert err.splitlines()[0].startswith(f"error: argument {flag}: "), err
+    assert "'abc'" in err.splitlines()[0]
+    assert f"usage: speechstyle {command} " in err
+    assert "_nonneg" not in err
+
+
 def test_synth_reports_manifest_and_count(capsys, tmp_path):
     out = tmp_path / "corpus"
     code, stdout, err = _run(

@@ -1,11 +1,16 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import brute_force_dtw_cost, make_bundle
+from _helpers import brute_force_dtw_cost, log_gather_mismatches, make_bundle
 from speechstyle import FrameConfig, _native, compute_triplet, dtw_align, metric
 from speechstyle.errors import ConfigMismatch, DimensionMismatch
 
@@ -318,3 +323,98 @@ def test_similarity_matches_the_np_var_version_bit_for_bit(u, v_seed, kind, scal
     v = _contour(v_seed, u.size, kind, scale)
     assert _bits(metric._similarity(u, v)) == _bits(_old_similarity(u, v))
     assert _bits(metric._similarity(u, u)) == _bits(_old_similarity(u, u))
+
+
+def _run_script(script, *args, **env):
+    """Run a script in a fresh interpreter that imports the package and the test helpers.
+
+    Each keyword sets an environment variable, or unsets it when None.
+    """
+    paths = [Path(metric.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    full_env = {k: v for k, v in os.environ.items() if k not in env}
+    full_env.update(PYTHONPATH=os.pathsep.join(map(str, paths)), OPENBLAS_NUM_THREADS="1")
+    full_env.update({k: v for k, v in env.items() if v is not None})
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=full_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+_LOG_SCRIPT = """
+import json, sys
+from numpy._core import _multiarray_umath as umath
+from _helpers import log_gather_mismatches
+features = {f: umath.__cpu_features__[f] for f in sys.argv[1:]}
+print(json.dumps({"mismatches": log_gather_mismatches(), "features": features}))
+"""
+
+
+def test_log_of_the_whole_pitch_track_equals_the_log_of_its_gathered_values():
+    # The path kernel reads np.log of each whole pitch track, where the
+    # numpy spec takes np.log of the values gathered along the path; both
+    # must give each value the same bits wherever numpy's vector loops
+    # put it, with its AVX-512 loops and without them.
+    assert log_gather_mismatches() == []
+    from numpy._core import _multiarray_umath as umath
+
+    avx512 = [
+        f
+        for f in umath.__cpu_dispatch__
+        if umath.__cpu_features__.get(f) and ("AVX512" in f or f == "X86_V4")
+    ]
+    result = _run_script(_LOG_SCRIPT, *avx512, NPY_DISABLE_CPU_FEATURES=" ".join(avx512))
+    print(f"NPY_DISABLE_CPU_FEATURES={' '.join(avx512)!r}; in the subprocess: {result['features']}")
+    assert result == {"mismatches": [], "features": dict.fromkeys(avx512, False)}
+
+
+_TRIPLET_SCRIPT = """
+import ctypes, json
+import numpy as np
+from _helpers import make_bundle
+from speechstyle import compute_triplet, dtw_align, metric
+
+
+def openblas_core():
+    # The kernel set OpenBLAS picked, where numpy's build names it (Linux only).
+    try:
+        with open("/proc/self/maps") as maps:
+            libraries = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for library in libraries:
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            function = getattr(ctypes.CDLL(library), name, None)
+            if function is not None:
+                function.restype = ctypes.c_char_p
+                return function().decode()
+    return None
+
+
+# Bundles drawn, not extracted, so that no filterbank product runs.
+rng = np.random.default_rng(31)
+bits = []
+for _ in range(40):
+    a, b = (make_bundle(rng, int(rng.integers(2, 200)), voiced_prob=0.8) for _ in range(2))
+    path = dtw_align(a.spectral, b.spectral)
+    values = (*compute_triplet(a, b).as_tuple(), *metric._path_similarity(a, b, path.rows, path.cols))
+    bits.append([float(v).hex() for v in values])
+print(json.dumps({"core": openblas_core(), "bits": bits}))
+"""
+
+
+def test_triplet_bits_do_not_depend_on_the_openblas_core_type():
+    # Before its sums were numpy's pairwise ones, the triplet ran OpenBLAS's
+    # ddot, whose order follows the kernel set picked for the CPU. A core
+    # type that OpenBLAS cannot switch to (a build without DYNAMIC_ARCH)
+    # changes nothing, so the test prints which ones took effect.
+    runs = {
+        core: _run_script(_TRIPLET_SCRIPT, OPENBLAS_CORETYPE=core)
+        for core in (None, "Prescott", "Haswell", "SkylakeX")
+    }
+    print("OpenBLAS kernels picked:", {str(k): run["core"] for k, run in runs.items()})
+    assert all(run["bits"] == runs[None]["bits"] for run in runs.values())

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import re
 import shutil
@@ -7,9 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import pick_f0
-from speechstyle import AudioClip, FrameConfig, _native, dtw_align, extract_features
+from _helpers import make_bundle, pick_f0
+from speechstyle import (
+    AudioClip,
+    FeatureBundle,
+    FrameConfig,
+    _native,
+    compute_triplet,
+    dtw_align,
+    extract_features,
+    metric,
+)
 from speechstyle.features import _frame_args
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -121,14 +133,44 @@ def test_exported_kernel_functions_match_their_signatures_and_callers():
     assert [name for name in exported if f".{name}(" not in callers] == []
 
 
+@pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+def test_address_is_the_data_address_of_rows_views_and_empty_arrays(writeable):
+    base = np.arange(48, dtype=np.int64).reshape(2, 24)
+    base.flags.writeable = writeable
+    for array in (base, base[1], base[0, 5:], base[1, 24:], base.ravel()[:1]):
+        assert _native.address(array) == array.ctypes.data
+
+
+def test_alignment_of_read_only_tracks_equals_that_of_writable_ones():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=(9, 3)), rng.normal(size=(6, 3))
+    expected = dtw_align(a, b)
+    a.flags.writeable = b.flags.writeable = False
+    got = dtw_align(a, b)
+    assert (got.pairs, got.cost) == (expected.pairs, expected.cost)
+
+
+def test_triplet_of_a_copied_bundle_reads_the_copys_tracks():
+    # The path kernel's tracks are cached per bundle; a deep copy must not
+    # read the original's, which may be freed or overwritten.
+    rng = np.random.default_rng(8)
+    a, b = make_bundle(rng, 30, voiced_prob=0.7), make_bundle(rng, 25, voiced_prob=0.7)
+    expected = compute_triplet(a, b)
+    copied = copy.deepcopy(a)
+    a._path_tracks[:] = 0.0
+    assert compute_triplet(copied, b) == expected
+
+
 def test_failed_kernel_build_warns_once_and_falls_back_to_the_same_bits(monkeypatch):
     rng = np.random.default_rng(32)
     a, b = rng.normal(size=(15, 13)), rng.normal(size=(11, 13))
     clips = [AudioClip(rng.uniform(-0.5, 0.5, rate // 3), rate) for rate in (16000, 44100)]
     cfg = FrameConfig()
+    bundles = [make_bundle(rng, frames, voiced_prob=0.7) for frames in (15, 11)]
 
     def run():
-        return dtw_align(a, b), [extract_features(clip, cfg) for clip in clips]
+        extracted = [extract_features(clip, cfg) for clip in clips]
+        return dtw_align(a, b), extracted, compute_triplet(*bundles)
 
     before = run()
 
@@ -145,11 +187,13 @@ def test_failed_kernel_build_warns_once_and_falls_back_to_the_same_bits(monkeypa
         _native._open_kernel.cache_clear()
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "simulated failure" in str(caught[0].message)
-    for path, bundles in after:
+    for path, extracted, triplet in after:
         assert path.cost == before[0].cost and path.pairs == before[0].pairs
-        for bundle, kernel_bundle in zip(bundles, before[1]):
+        assert path.rows.flags.c_contiguous and path.cols.flags.c_contiguous
+        for bundle, kernel_bundle in zip(extracted, before[1]):
             for track in ("spectral", "pitch", "stress"):
                 assert getattr(bundle, track).tobytes() == getattr(kernel_bundle, track).tobytes()
+        assert np.array(triplet.as_tuple()).tobytes() == np.array(before[2].as_tuple()).tobytes()
 
 
 def _align_directly():
@@ -297,3 +341,146 @@ def test_kernel_is_reentrant_across_threads():
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
+
+
+def _random_path(rng, k):
+    """A monotone path of k pairs from (0, 0), as dtw_align returns it."""
+    steps = rng.integers(0, 3, size=k - 1)  # 0 diagonal, 1 down, 2 across
+    rows = np.concatenate([[0], np.cumsum(steps != 2)]).astype(np.int64)
+    cols = np.concatenate([[0], np.cumsum(steps != 1)]).astype(np.int64)
+    return rows, cols
+
+
+# Spreads of a contour around its offset: flat, far below, near and far
+# above DEGENERATE_VARIANCE once squared.
+_SPREADS = {"constant": 0.0, "near-constant": 1e-7, "near-bound": 1e-5, "moving": 1.0}
+
+
+def _contour(rng, n, kind, scale):
+    return scale * rng.normal() * 10.0 + scale * _SPREADS[kind] * rng.normal(size=n)
+
+
+def _path_bundle(pitch, stress):
+    n = stress.size
+    return FeatureBundle(np.zeros((n, 1)), pitch, stress, FrameConfig(n_ceps=1), 16000)
+
+
+def _voicing(rng, rows, cols, voicing):
+    """Voiced frames of each side: all, about half, or those of v path pairs."""
+    n, m = rows[-1] + 1, cols[-1] + 1
+    if voicing == "all":
+        return np.ones(n, bool), np.ones(m, bool)
+    if voicing == "half":
+        return rng.random(n) < 0.5, rng.random(m) < 0.5
+    on_a, on_b = np.zeros(n, bool), np.zeros(m, bool)
+    picked = rng.choice(rows.size, size=min(int(voicing), rows.size), replace=False)
+    on_a[rows[picked]] = on_b[cols[picked]] = True
+    return on_a, on_b
+
+
+def _check_path_kernel(builds, a, b, rows, cols):
+    expected = np.array(metric._path_similarity(a, b, rows, cols))
+    for name, kernel in builds.items():
+        got = np.array(metric._path_similarity_kernel(kernel, a, b, rows, cols))
+        assert got.tobytes() == expected.tobytes(), (name, got, expected)
+    return expected
+
+
+_KINDS = st.sampled_from(sorted(_SPREADS))
+
+
+# Paths of 1 to 300 pairs run every branch of numpy's pairwise sum; the
+# voicing patterns give 0, 1, 2 and more pairs voiced on both sides.
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 300),
+    voicing=st.sampled_from(["all", "half", "0", "1", "2", "3"]),
+    pitch_kinds=st.tuples(_KINDS, _KINDS),
+    stress_kinds=st.tuples(_KINDS, _KINDS),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]) | st.floats(1e-6, 1e3),
+)
+def test_path_kernel_equals_numpy_bit_for_bit(
+    kernel_builds, seed, k, voicing, pitch_kinds, stress_kinds, scale
+):
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(seed)
+    rows, cols = _random_path(rng, k)
+    voiced = _voicing(rng, rows, cols, voicing)
+    bundles = []
+    for side, n in enumerate((rows[-1] + 1, cols[-1] + 1)):
+        log_f0 = np.log(150.0) + _contour(rng, n, pitch_kinds[side], min(scale, 1.0) / 10.0)
+        pitch = np.where(voiced[side], np.exp(log_f0), np.nan)
+        bundles.append(_path_bundle(pitch, _contour(rng, n, stress_kinds[side], scale)))
+    _check_path_kernel(kernel_builds, *bundles, rows, cols)
+
+
+def test_path_kernel_equals_numpy_at_every_path_length(kernel_builds):
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(44)
+    for k in range(1, 301):
+        rows, cols = _random_path(rng, k)
+        a = make_bundle(rng, rows[-1] + 1, voiced_prob=0.7)
+        b = make_bundle(rng, cols[-1] + 1, voiced_prob=0.7)
+        _check_path_kernel(kernel_builds, a, b, rows, cols)
+
+
+def _variance_at_the_bound():
+    """[x, -x, 0, 0], whose variance by _variance is exactly DEGENERATE_VARIANCE."""
+    x = np.sqrt(2.0 * metric.DEGENERATE_VARIANCE)
+    contour = np.array([x, -x, 0.0, 0.0])
+    assert metric._variance(metric._deviations(contour)) == metric.DEGENERATE_VARIANCE
+    return contour
+
+
+def _correlation_beyond_one():
+    """u and v = c * u whose correlation by numpy's sums rounds above 1."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        u = rng.normal(size=5)
+        v = rng.uniform(0.1, 10.0) * u
+        du, dv = metric._deviations(u), metric._deviations(v)
+        uu, vv = np.add.reduce(du * du), np.add.reduce(dv * dv)
+        if np.add.reduce(du * dv) / np.sqrt(uu * vv) > 1.0:
+            return u, v
+    raise AssertionError("no correlation above 1 in 1000 draws")
+
+
+def test_path_kernel_edges_equal_numpy(kernel_builds):
+    # Each case tells a mutant of the kernel from the numpy spec: one
+    # voiced pair (p is 0, not the 1 of two flat contours), a variance
+    # exactly at the degeneracy bound on either side (not flat), and
+    # correlations that round beyond +-1 (clamped).
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
+    rows = cols = np.arange(5, dtype=np.int64)
+    moving = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+    one_voiced = np.array([np.nan, np.nan, 120.0, np.nan, np.nan])
+    a = b = _path_bundle(one_voiced, moving)
+    assert _check_path_kernel(kernel_builds, a, b, rows, cols)[0] == 0.0
+    at_bound, unvoiced = _variance_at_the_bound(), np.full(4, np.nan)
+    for pair in ((at_bound, moving[:4]), (moving[:4], at_bound)):
+        a, b = (_path_bundle(unvoiced, stress) for stress in pair)
+        assert _check_path_kernel(kernel_builds, a, b, rows[:4], cols[:4])[1] != 0.0
+    u, v = _correlation_beyond_one()
+    for sign in (1.0, -1.0):
+        a, b = _path_bundle(moving, u), _path_bundle(moving, sign * v)
+        assert _check_path_kernel(kernel_builds, a, b, rows, cols)[1] == sign
+
+
+def test_path_kernel_returns_nan_where_numpy_does(kernel_builds):
+    # Non-finite stress makes ir NaN, which Triplet then rejects.
+    if not kernel_builds:
+        pytest.skip("compiled kernels unavailable")
+    rows = cols = np.arange(4, dtype=np.int64)
+    pitch = np.array([100.0, 110.0, np.nan, 130.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        a = _path_bundle(pitch, np.array([1.0, bad, 2.0, 3.0]))
+        b = _path_bundle(pitch, np.array([2.0, 1.0, 4.0, 3.0]))
+        with np.errstate(invalid="ignore"):
+            expected = metric._path_similarity(a, b, rows, cols)
+        for kernel in kernel_builds.values():
+            got = metric._path_similarity_kernel(kernel, a, b, rows, cols)
+            assert got[0] == expected[0] and np.isnan(got[1]) and np.isnan(expected[1])
