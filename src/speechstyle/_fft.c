@@ -1,6 +1,8 @@
 /* The per-frame passes of features.py: the power spectra of the cepstra
  * and the f0 track, from power-of-two real FFTs bit-identical to
  * numpy.fft's rfft and irfft, and the mean squares of the stress contour.
+ * speechstyle_features runs all three on one clip, after its pre-emphasis
+ * and framing, in one call.
  *
  * numpy >= 2.0 computes rfft and irfft with pocketfft's rfftp. For a
  * power-of-two size that runs radix-4 passes, with one radix-2 pass
@@ -226,8 +228,8 @@ struct band {
 
 /* The windowed power spectra of _cepstra: with X = rfft(frames * window, n),
  * out is rows x (n/2 + 1), (re * re + im * im) / n per bin. */
-int64_t speechstyle_power_spectra(const double *x, int64_t rows, int64_t len, int64_t row_step,
-                                  int64_t col_step, const double *window, int64_t n, double *out)
+static int64_t power_spectra(const double *x, int64_t rows, int64_t len, int64_t row_step,
+                             int64_t col_step, const double *window, int64_t n, double *out)
 {
 #ifdef WIDE
     if (__builtin_cpu_supports("avx512f"))
@@ -298,6 +300,38 @@ int64_t speechstyle_mean_square(const double *x, int64_t rows, int64_t len, int6
         out[r] = pairwise_dot(frame, col_step, frame, col_step, len) / (double)len;
     }
     return 0;
+}
+
+/* extract_features' passes over the rows frames of win samples, hop
+ * apart, that a clip of (rows - 1) * hop + win samples s holds. The
+ * pre-emphasis is numpy's: e[0] = s[0], e[i] = s[i] - pre * s[i - 1],
+ * the product rounded first. power gets the power spectra of the
+ * emphasized frames times window at n_fft points; f0 the f0 track of the
+ * raw frames at n_pitch points in the band the next six arguments give,
+ * all NaN when lag_max < lag_min; mean_square their mean squares. */
+int64_t speechstyle_features(const double *s, int64_t rows, int64_t win, int64_t hop, double pre,
+                             const double *window, int64_t n_fft, int64_t n_pitch,
+                             int64_t lag_min, int64_t lag_max, double sample_rate, double lowest,
+                             double highest, double threshold, double *power, double *f0,
+                             double *mean_square)
+{
+    int64_t len = (rows - 1) * hop + win;
+    double *e = malloc((size_t)len * sizeof *e);
+    if (e == NULL)
+        return -1;
+    e[0] = s[0];
+    for (int64_t i = 1; i < len; i++)
+        e[i] = s[i] - pre * s[i - 1];
+    int64_t status = power_spectra(e, rows, win, hop, 1, window, n_fft, power);
+    free(e);
+    if (status == 0 && lag_max < lag_min) {
+        for (int64_t r = 0; r < rows; r++)
+            f0[r] = NAN;
+    } else if (status == 0) {
+        status = speechstyle_pitch(s, rows, win, hop, 1, n_pitch, lag_min, lag_max, sample_rate,
+                                   lowest, highest, threshold, f0);
+    }
+    return status == 0 ? speechstyle_mean_square(s, rows, win, hop, 1, mean_square) : status;
 }
 
 #else /* LANES: the passes and entry loops of one width */

@@ -19,7 +19,7 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
     "speechstyle_dtw": (_P, _P, _I, _I, _I, _P, _P, _P),
     "speechstyle_path_similarity": (_P, _P, _I, _P, _I, _P, _I, _P),
-    "speechstyle_power_spectra": (_P, _I, _I, _I, _I, _P, _I, _P),
+    "speechstyle_features": (_P, _I, _I, _I, _D, _P, _I, _I, _I, _I, _D, _D, _D, _D, _P, _P, _P),
     "speechstyle_pitch": (_P, _I, _I, _I, _I, _I, _I, _I, _D, _D, _D, _D, _P),
     "speechstyle_mean_square": (_P, _I, _I, _I, _I, _P),
 }
@@ -96,13 +96,19 @@ def _open_kernel():
 
 
 _LOAD_LOCK = threading.Lock()
+_opened = False
 
 
 def _load_kernel():
     """The compiled kernels, or None after one RuntimeWarning.
 
     The ingest threads ask at once; the lock makes them share one build
-    and one warning.
+    and one warning. Once the kernels are open, the cache answers without it.
     """
-    with _LOAD_LOCK:
+    global _opened
+    if _opened:
         return _open_kernel()
+    with _LOAD_LOCK:
+        kernel = _open_kernel()
+        _opened = True
+        return kernel

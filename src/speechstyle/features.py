@@ -162,6 +162,26 @@ def _frame_signal(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     return sliding_window_view(samples, win)[::hop]
 
 
+@lru_cache(maxsize=None)
+def _hamming(length: int) -> np.ndarray:
+    """np.hamming(length), made once per length and read-only."""
+    window = np.hamming(length)
+    window.flags.writeable = False
+    return window
+
+
+def _lag_band(length: int, sample_rate: int, cfg: FrameConfig) -> tuple[int, int]:
+    """The lags the pitch pick searches in frames of length samples; none if the second is less."""
+    lag_min = max(int(np.ceil(sample_rate / cfg.pitch_fmax)), 2)
+    lag_max = min(int(np.floor(sample_rate / cfg.pitch_fmin)), length - 2)
+    return lag_min, lag_max
+
+
+def _decibels(mean_square: np.ndarray) -> np.ndarray:
+    """The stress contour of frames with these mean squares: dB, floored at STRESS_FLOOR_DB."""
+    return 10.0 * np.log10(np.maximum(mean_square, 10.0 ** (STRESS_FLOOR_DB / 10.0)))
+
+
 def _sincos_2pibyn(n: int, x: int, ang: float) -> tuple[float, float]:
     """(cos, sin) of 2*pi*x/n for x < n/4, reduced to the first octant as pocketfft does."""
     x <<= 3
@@ -252,16 +272,9 @@ def _frame_args(frames: np.ndarray) -> tuple[int, ...]:
 
 
 def _power_spectra(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.ndarray:
-    """|rfft(frames * window, n_fft)|^2 / n_fft per row, from the kernel or numpy, equal bit for bit."""
+    """|rfft(frames * window, n_fft)|^2 / n_fft per row, in numpy, as the kernel computes it."""
     rows = frames.shape[0]
     power = np.empty((rows, n_fft // 2 + 1))
-    kernel = _kernel_for(frames)
-    if kernel is not None:
-        if kernel.speechstyle_power_spectra(
-            *_frame_args(frames), window.ctypes.data, n_fft, power.ctypes.data
-        ) < 0:
-            raise MemoryError(f"no memory for {n_fft}-point FFTs")
-        return power
     for block in _row_blocks(rows, n_fft):
         spectrum = np.fft.rfft(frames[block] * window, n_fft, axis=1)
         np.square(spectrum.real, out=power[block])
@@ -273,7 +286,12 @@ def _power_spectra(frames: np.ndarray, window: np.ndarray, n_fft: int) -> np.nda
 def _cepstra(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
     """Mel cepstra of pre-emphasized frames, Hamming-windowed on the way into the FFT."""
     n_fft = _next_pow2(frames.shape[1])
-    power = _power_spectra(frames, np.hamming(frames.shape[1]), n_fft)
+    power = _power_spectra(frames, _hamming(frames.shape[1]), n_fft)
+    return _mel_cepstra(power, n_fft, sample_rate, cfg)
+
+
+def _mel_cepstra(power: np.ndarray, n_fft: int, sample_rate: int, cfg: FrameConfig) -> np.ndarray:
+    """Mel cepstra of windowed n_fft-point power spectra: filterbank, log and DCT in numpy."""
     bank = _mel_filterbank(sample_rate, n_fft, cfg.n_filters)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, _ENERGY_FLOOR))
@@ -300,8 +318,7 @@ def _pitch_batch(frames: np.ndarray, sample_rate: int, cfg: FrameConfig) -> np.n
     """
     rows, n = frames.shape
     out = np.full(rows, np.nan)
-    lag_min = max(int(np.ceil(sample_rate / cfg.pitch_fmax)), 2)
-    lag_max = min(int(np.floor(sample_rate / cfg.pitch_fmin)), n - 2)
+    lag_min, lag_max = _lag_band(n, sample_rate, cfg)
     if lag_max < lag_min:
         return out
     size = _next_pow2(2 * n)
@@ -368,7 +385,36 @@ def stress_contour(frames: np.ndarray) -> np.ndarray:
     else:
         for block in _row_blocks(*frames.shape):
             mean_square[block] = np.mean(frames[block] ** 2, axis=1)
-    return 10.0 * np.log10(np.maximum(mean_square, 10.0 ** (STRESS_FLOOR_DB / 10.0)))
+    return _decibels(mean_square)
+
+
+def _clip_passes(
+    kernel, samples: np.ndarray, win: int, hop: int, sample_rate: int, cfg: FrameConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A clip's power spectra, f0 track and mean squares from one kernel call.
+
+    The kernel pre-emphasizes and frames the samples and runs the three
+    frame passes with the interpreter lock released; extract_features'
+    numpy steps are its specification. Every array whose address it
+    reads is held in a local until it returns: two threads may both make
+    a clip's window, and the cache keeps one and frees the other.
+    """
+    if not (samples.flags.c_contiguous and samples.flags.aligned):
+        samples = samples.copy()
+    rows = (samples.size - win) // hop + 1
+    n_fft = _next_pow2(win)
+    window = _hamming(win)
+    power = np.empty((rows, n_fft // 2 + 1))
+    pitch = np.empty(rows)
+    mean_square = np.empty(rows)
+    if kernel.speechstyle_features(
+        _native.address(samples), rows, win, hop, cfg.preemphasis, window.ctypes.data, n_fft,
+        _next_pow2(2 * win), *_lag_band(win, sample_rate, cfg), sample_rate, cfg.pitch_fmin,
+        cfg.pitch_fmax, cfg.voicing_threshold, _native.address(power), _native.address(pitch),
+        _native.address(mean_square),
+    ) < 0:
+        raise MemoryError(f"no memory for the FFTs of a clip of {samples.size} samples")
+    return power, pitch, mean_square
 
 
 def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureBundle:
@@ -386,14 +432,20 @@ def extract_features(clip: AudioClip, cfg: FrameConfig) -> FeatureBundle:
         raise ClipTooShort(
             f"clip of {samples.size} samples is shorter than one {win}-sample window"
         )
-    emphasized = np.concatenate(
-        ([samples[0]], samples[1:] - cfg.preemphasis * samples[:-1])
-    )
-    spectral = _cepstra(_frame_signal(emphasized, win, hop), clip.sample_rate, cfg)
-    del emphasized  # freed before the pitch pass allocates
-    raw_frames = _frame_signal(samples, win, hop)
-    pitch = _pitch_batch(raw_frames, clip.sample_rate, cfg)
-    stress = stress_contour(raw_frames)
+    kernel = _native._load_kernel()
+    if kernel is not None:
+        power, pitch, mean_square = _clip_passes(kernel, samples, win, hop, clip.sample_rate, cfg)
+        spectral = _mel_cepstra(power, _next_pow2(win), clip.sample_rate, cfg)
+        stress = _decibels(mean_square)
+    else:
+        emphasized = np.concatenate(
+            ([samples[0]], samples[1:] - cfg.preemphasis * samples[:-1])
+        )
+        spectral = _cepstra(_frame_signal(emphasized, win, hop), clip.sample_rate, cfg)
+        del emphasized  # freed before the pitch pass allocates
+        raw_frames = _frame_signal(samples, win, hop)
+        pitch = _pitch_batch(raw_frames, clip.sample_rate, cfg)
+        stress = stress_contour(raw_frames)
     return FeatureBundle(
         spectral=spectral, pitch=pitch, stress=stress, config=cfg, sample_rate=clip.sample_rate
     )

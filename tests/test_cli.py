@@ -630,6 +630,32 @@ print("loaded:", *sorted(m for m in ("_hashlib", "_ssl", "numpy.random") if m in
     assert done.stdout.splitlines()[-1] == "loaded:"
 
 
+def test_jobs_do_not_import_logging_or_concurrent_futures(tiny_corpus, small_corpus, tmp_path):
+    # concurrent.futures imports logging, traceback and string: several ms
+    # of every multi-CPU job. The ingest and pair-table threads are plain.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 usable CPUs: jobs run no worker threads")
+    _, manifest = tiny_corpus
+    _, evaluate_manifest = small_corpus
+    model, results = str(tmp_path / "model.json"), str(tmp_path / "results.csv")
+    report = str(tmp_path / "report.json")
+    script = f"""
+import sys
+from speechstyle.cli import main
+assert main(["build-refs", "--manifest", {str(manifest)!r}, "--out", {model!r}]) == 0
+assert main(["classify", "--model", {model!r}, "--manifest", {str(manifest)!r}, "--out", {results!r}]) == 0
+assert main(["evaluate", "--manifest", {str(evaluate_manifest)!r}, "--out", {report!r}]) == 0
+print("loaded:", *sorted(m for m in ("logging", "concurrent.futures") if m in sys.modules))
+"""
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"
+
+
 def test_build_refs_and_classify_read_and_write_utf8_under_an_ascii_locale(tiny_corpus, tmp_path):
     _, manifest = tiny_corpus
     entries = [dataclasses.replace(e, speaker=f"{e.speaker}-é") for e in load_manifest(manifest)]

@@ -28,6 +28,7 @@ from speechstyle.features import (
     _next_pow2,
     _pitch_batch,
     _row_blocks,
+    _window_sizes,
 )
 
 CFG = FrameConfig()
@@ -192,19 +193,23 @@ def test_pitch_batch_equals_frame_by_frame_refinement(sample_rate):
     assert got.tobytes() == expected.tobytes()
 
 
-def _overlapping_frames(rows, sample_rate):
-    """rows frames of a tone with jumping level and noise, cut as extract_features cuts them.
-
-    Returns the sliding-window view the passes read and a contiguous copy.
-    """
+def _overlapping_signal(rows, sample_rate):
+    """A tone with jumping level and noise, exactly rows frames long at CFG's sizes."""
     rng = np.random.default_rng(rows + sample_rate)
-    win = int(round(CFG.window_ms * sample_rate / 1000.0))
-    hop = int(round(CFG.hop_ms * sample_rate / 1000.0))
+    win, hop = _window_sizes(CFG, sample_rate)
     n = win + (rows - 1) * hop
     level = np.repeat(rng.uniform(0.0, 0.9, n // hop + 1), hop)[:n]
     tone = np.sin(2 * np.pi * rng.uniform(60.0, 400.0) * np.arange(n) / sample_rate)
-    signal = level * tone + rng.uniform(0.0, 0.3) * rng.standard_normal(n)
-    view = _frame_signal(signal, win, hop)
+    return level * tone + rng.uniform(0.0, 0.3) * rng.standard_normal(n)
+
+
+def _overlapping_frames(rows, sample_rate):
+    """rows frames of _overlapping_signal, cut as extract_features cuts them.
+
+    Returns the sliding-window view the passes read and a contiguous copy.
+    """
+    win, hop = _window_sizes(CFG, sample_rate)
+    view = _frame_signal(_overlapping_signal(rows, sample_rate), win, hop)
     assert view.shape == (rows, win)
     return view, np.ascontiguousarray(view)
 
@@ -333,16 +338,94 @@ def numpy_only(monkeypatch):
     return use_numpy
 
 
+def _tracks(bundle):
+    return [getattr(bundle, track).tobytes() for track in ("spectral", "pitch", "stress")]
+
+
+@pytest.fixture
+def equal_on_each_build(kernel_builds, numpy_only, monkeypatch):
+    """Checks extract_features on each kernel build against numpy, bit for bit.
+
+    Takes the clips and a FrameConfig; returns numpy's bundles.
+    """
+
+    def check(clips, cfg=CFG):
+        if not kernel_builds:
+            pytest.skip("compiled kernels unavailable")
+        got = {}
+        for name, kernel in kernel_builds.items():
+            monkeypatch.setattr(_native, "_load_kernel", lambda kernel=kernel: kernel)
+            got[name] = [_tracks(extract_features(clip, cfg)) for clip in clips]
+        numpy_only()
+        expected = [extract_features(clip, cfg) for clip in clips]
+        for name, tracks in got.items():
+            assert tracks == [_tracks(bundle) for bundle in expected], name
+        return expected
+
+    return check
+
+
 @pytest.mark.parametrize("sample_rate", SUPPORTED_RATES)
-def test_kernel_cepstra_and_pitch_equal_numpy_on_sliding_frames(sample_rate, numpy_only):
-    frames = [_overlapping_frames(rows, sample_rate)[0] for rows in (1, 2, 5, 40)]
-    assert all(not f.flags.c_contiguous for f in frames[1:])
-    kernel = [(_cepstra(f, sample_rate, CFG), _pitch_batch(f, sample_rate, CFG)) for f in frames]
-    numpy_only()
-    for f, (cepstra, pitch) in zip(frames, kernel):
-        assert cepstra.tobytes() == _cepstra(f, sample_rate, CFG).tobytes()
-        assert pitch.tobytes() == _pitch_batch(f, sample_rate, CFG).tobytes()
-        assert (~np.isnan(pitch)).any()
+def test_kernel_cepstra_and_pitch_equal_numpy_on_sliding_frames(sample_rate, equal_on_each_build):
+    clips = [AudioClip(_overlapping_signal(rows, sample_rate), sample_rate) for rows in (1, 2, 5, 40)]
+    bundles = equal_on_each_build(clips)
+    assert [bundle.frame_count for bundle in bundles] == [1, 2, 5, 40]
+    assert all((~np.isnan(bundle.pitch)).any() for bundle in bundles)
+
+
+@pytest.mark.parametrize("sample_rate", SUPPORTED_RATES)
+def test_clips_at_the_edges_of_the_frame_count_equal_numpy(sample_rate, equal_on_each_build):
+    # One window, one window plus hop - 1 samples (still one frame) and
+    # one window plus hop (two frames).
+    win, hop = _window_sizes(CFG, sample_rate)
+    signal = _overlapping_signal(2, sample_rate)
+    clips = [AudioClip(signal[:n], sample_rate) for n in (win, win + hop - 1, win + hop)]
+    bundles = equal_on_each_build(clips)
+    assert [bundle.frame_count for bundle in bundles] == [1, 1, 2]
+
+
+def test_clips_without_preemphasis_equal_numpy(equal_on_each_build):
+    cfg = dataclasses.replace(CFG, preemphasis=0.0)
+    clips = [AudioClip(_overlapping_signal(12, rate), rate) for rate in (8000, 16000, 44100)]
+    equal_on_each_build(clips, cfg)
+
+
+def test_clips_with_an_empty_pitch_band_equal_numpy(equal_on_each_build):
+    # 1 ms windows hold fewer lags than the 500 Hz ceiling needs: every f0 is NaN.
+    cfg = dataclasses.replace(CFG, window_ms=1.0, hop_ms=0.5)
+    clips = [AudioClip(_overlapping_signal(12, rate), rate) for rate in SUPPORTED_RATES]
+    for bundle in equal_on_each_build(clips, cfg):
+        assert bundle.frame_count > 1 and np.isnan(bundle.pitch).all()
+
+
+def test_clips_whose_samples_are_views_equal_numpy(equal_on_each_build):
+    signal = _overlapping_signal(30, 16000)
+    read_only = signal.copy()
+    read_only.flags.writeable = False
+    # float64 samples one byte into a buffer: misaligned, and read-only.
+    misaligned = np.frombuffer(b"\0" + signal.tobytes(), dtype=np.float64, offset=1)
+    layouts = [signal[::2], signal[::-1], signal[3::3], read_only, misaligned]
+    clips = [AudioClip(samples, 16000) for samples in layouts]
+    assert [clip.samples.flags.c_contiguous for clip in clips] == [False] * 3 + [True] * 2
+    assert not clips[-1].samples.flags.aligned
+    equal_on_each_build(clips)
+
+
+def test_extract_features_makes_one_kernel_call_per_clip(monkeypatch):
+    kernel = _native._load_kernel()
+    if kernel is None:
+        pytest.skip("compiled kernels unavailable")
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(kernel, name)
+
+    monkeypatch.setattr(_native, "_load_kernel", Recorder)
+    for rate in (16000, 44100):
+        extract_features(AudioClip(_overlapping_signal(20, rate), rate), CFG)
+    assert calls == ["speechstyle_features"] * 2
 
 
 def test_pitch_of_a_strided_frame_equals_its_contiguous_copy():

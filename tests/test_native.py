@@ -1,7 +1,11 @@
+import binascii
 import copy
 import ctypes
+import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -12,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_bundle, pick_f0
+import speechstyle
 from speechstyle import (
+    SUPPORTED_RATES,
     AudioClip,
     FeatureBundle,
     FrameConfig,
@@ -219,13 +225,20 @@ def test_failed_kernel_build_warning_names_the_caller_outside_the_package(monkey
     assert [w.filename for w in caught] == [__file__]
 
 
-def _kernel_power_spectra(kernel, x, window, n):
-    out = np.empty((x.shape[0], n // 2 + 1))
-    status = kernel.speechstyle_power_spectra(
-        *_frame_args(x), window.ctypes.data, n, out.ctypes.data
+def _kernel_clip_passes(kernel, x, window, n, band):
+    """speechstyle_features on the rows of x laid end to end, not pre-emphasized.
+
+    Returns the power spectra, the f0 track and the mean squares, all at n points.
+    """
+    rows, length = x.shape
+    samples = np.ascontiguousarray(x).ravel()
+    outs = np.empty((rows, n // 2 + 1)), np.empty(rows), np.empty(rows)
+    status = kernel.speechstyle_features(
+        samples.ctypes.data, rows, length, length, 0.0, window.ctypes.data, n, n, *band,
+        *(out.ctypes.data for out in outs),
     )
     assert status == 0
-    return out
+    return outs
 
 
 def _kernel_pitch(kernel, x, n, band):
@@ -240,7 +253,7 @@ def _kernel_mean_square(kernel, x):
     return out
 
 
-# The numpy formulas of the fallbacks in features._power_spectra and
+# The numpy formulas of features._power_spectra and the fallback in
 # features._autocorrelate, at a given FFT size, and _pitch_batch's pick.
 def _numpy_power_spectra(x, window, n):
     spectrum = np.fft.rfft(x * window, n, axis=1)
@@ -258,19 +271,30 @@ def _numpy_pitch(x, n, band):
     return np.array([pick_f0(row, *band) for row in ac])
 
 
+def _band(length):
+    # Lags 2..length-2, f0 clamped below 1.75 and above length-1.75 lags,
+    # and a threshold so low that nearly every frame is refined: the f0
+    # bits then carry the autocorrelation's. Empty below 4 samples.
+    rate = 16000.0
+    return (2, length - 2, rate, rate / (length - 1.75), rate / 1.75, 1e-3)
+
+
 def _check_both_passes(builds, x, size, rng):
     length = x.shape[1]
     window = rng.uniform(size=length)
     expected_power = _numpy_power_spectra(x, window, size).tobytes()
-    # Lags 2..length-2, f0 clamped below 1.75 and above length-1.75 lags,
-    # and a threshold so low that nearly every frame is refined: the f0
-    # bits then carry the autocorrelation's.
-    rate = 16000.0
-    band = (2, length - 2, rate, rate / (length - 1.75), rate / 1.75, 1e-3)
-    expected_pitch = _numpy_pitch(x, size, band).tobytes() if length >= 4 else None
+    band = _band(length)
+    if length >= 4:
+        expected_pitch = _numpy_pitch(x, size, band).tobytes()
+    else:
+        expected_pitch = np.full(x.shape[0], np.nan).tobytes()
+    expected_mean_square = np.mean(x**2, axis=1).tobytes()
     for name, kernel in builds.items():
-        assert _kernel_power_spectra(kernel, x, window, size).tobytes() == expected_power, name
-        if expected_pitch is not None:
+        power, pitch, mean_square = _kernel_clip_passes(kernel, x, window, size, band)
+        assert power.tobytes() == expected_power, name
+        assert pitch.tobytes() == expected_pitch, name
+        assert mean_square.tobytes() == expected_mean_square, name
+        if length >= 4:
             assert _kernel_pitch(kernel, x, size, band).tobytes() == expected_pitch, name
 
 
@@ -286,8 +310,12 @@ def test_kernel_power_spectra_and_pitch_equal_numpy_bit_for_bit(kernel_builds, s
             for scale in (1e-4, 1e-2, 1.0, 1e3):
                 x = rng.normal(scale=scale, size=(rows, length))
                 _check_both_passes(kernel_builds, x, size, rng)
-    # Strided frames, the columns of a transposed array, are read in place.
-    _check_both_passes(kernel_builds, rng.normal(size=(size, 3)).T, size, rng)
+    # The pitch export reads strided frames, the columns of a transposed array, in place.
+    x = rng.normal(size=(size, 3)).T
+    if size >= 4:
+        expected = _numpy_pitch(x, size, _band(size)).tobytes()
+        for name, kernel in kernel_builds.items():
+            assert _kernel_pitch(kernel, x, size, _band(size)).tobytes() == expected, name
 
 
 def test_kernel_mean_square_equals_numpy_bit_for_bit(kernel_builds):
@@ -305,7 +333,7 @@ def test_kernel_mean_square_equals_numpy_bit_for_bit(kernel_builds):
 
 
 def test_kernel_is_reentrant_across_threads():
-    from speechstyle.features import _pitch_batch, _power_spectra, stress_contour
+    from speechstyle.features import _pitch_batch, stress_contour
 
     # A low threshold voices most noise frames, so f0 carries the bits.
     cfg = FrameConfig(voicing_threshold=0.01)
@@ -317,15 +345,13 @@ def test_kernel_is_reentrant_across_threads():
     jobs = [[f] for f in frames + frames] + [growing]
 
     def run(job):
-        return [
-            a.tobytes()
-            for f in job
-            for a in (
-                _power_spectra(f, np.hamming(f.shape[1]), 1 << (f.shape[1] - 1).bit_length()),
-                _pitch_batch(f, 44100, cfg),
-                stress_contour(f),
-            )
-        ]
+        out = []
+        for f in job:
+            out += [_pitch_batch(f, 44100, cfg).tobytes(), stress_contour(f).tobytes()]
+            # Each frame array is also read as a clip, its rows laid end to end.
+            bundle = extract_features(AudioClip(f.ravel(), 44100), cfg)
+            out += [a.tobytes() for a in (bundle.spectral, bundle.pitch, bundle.stress)]
+        return out
 
     serial = [run(job) for job in jobs]
     assert all(np.isnan(_pitch_batch(f, 44100, cfg)).mean() < 0.5 for f in frames + growing)
@@ -484,3 +510,68 @@ def test_path_kernel_returns_nan_where_numpy_does(kernel_builds):
         for kernel in kernel_builds.values():
             got = metric._path_similarity_kernel(kernel, a, b, rows, cols)
             assert got[0] == expected[0] and np.isnan(got[1]) and np.isnan(expected[1])
+
+
+# Two threads ingest the same clips in step, so both meet each window
+# length with a cold cache and often both make its window: the cache keeps
+# one, and the kernel must not read the other once it is freed. glibc's
+# MALLOC_PERTURB_ overwrites freed memory, so such a read changes the bits.
+_WINDOW_MS = (20.0, 22.5, 25.0, 27.5, 30.0)
+_TWO_THREAD_INGEST = f"""
+import binascii, sys, threading
+import numpy as np
+from speechstyle import AudioClip, FrameConfig, extract_features
+
+data = np.load(sys.argv[1])
+clips = [AudioClip(data[name], int(name)) for name in data.files]
+jobs = [(clip, FrameConfig(window_ms=ms)) for ms in {_WINDOW_MS} for clip in clips]
+barrier = threading.Barrier(2)
+bundles = [[], []]
+
+def ingest(t):
+    for clip, cfg in jobs:
+        barrier.wait()
+        bundles[t].append(extract_features(clip, cfg))
+
+threads = [threading.Thread(target=ingest, args=(t,)) for t in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+crc = 0
+for bundle in bundles[0] + bundles[1]:
+    for track in (bundle.spectral, bundle.pitch, bundle.stress):
+        crc = binascii.crc32(track.tobytes(), crc)
+print(f"{{crc:08x}}")
+"""
+
+
+def test_two_thread_ingest_in_fresh_processes_gives_numpy_bits(monkeypatch, tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 usable CPUs: the ingest threads cannot overlap")
+    if _native._load_kernel() is None:
+        pytest.skip("compiled kernels unavailable")
+    rng = np.random.default_rng(41)
+    clips = {str(rate): rng.uniform(-0.5, 0.5, rate // 2) for rate in SUPPORTED_RATES}
+    np.savez(tmp_path / "clips.npz", **clips)
+    src = Path(speechstyle.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "MALLOC_PERTURB_": "165"}
+    digests = []
+    for _ in range(12):
+        done = subprocess.run(
+            [sys.executable, "-c", _TWO_THREAD_INGEST, str(tmp_path / "clips.npz")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    monkeypatch.setattr(_native, "_load_kernel", lambda: None)
+    bundles = [
+        extract_features(AudioClip(samples, int(rate)), FrameConfig(window_ms=ms))
+        for ms in _WINDOW_MS
+        for rate, samples in clips.items()
+    ]
+    crc = 0
+    for bundle in bundles + bundles:  # the bundles of one thread, then of the other
+        for track in (bundle.spectral, bundle.pitch, bundle.stress):
+            crc = binascii.crc32(track.tobytes(), crc)
+    assert digests == [f"{crc:08x}"] * len(digests)

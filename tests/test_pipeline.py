@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import re
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -207,6 +208,64 @@ def test_ingest_raises_for_the_first_bad_clip_in_manifest_order(
     error = RateMismatch if first == "wrong_rate" else ClipTooShort
     with pytest.raises(error, match=f"^{re.escape(str(wavs[first]))}: "):
         ingest_manifest(entries, FrameConfig())
+
+
+def _within(seconds, body):
+    """Runs body on a thread and fails if it has not returned within seconds."""
+    errors = []
+
+    def run():
+        try:
+            body()
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def test_ordered_map_runs_each_item_once_in_order_and_joins_its_threads(workers):
+    # Eight threads, more than the CPUs, switching every 10 us.
+    workers(8)
+    started = []
+
+    def square(k):
+        started.append(k)
+        if k in (40, 700):
+            time.sleep(0.01)  # the items after these finish first
+        return k * k
+
+    def slow(k):
+        # 3000 items of 1 ms take at least 0.37 s on 8 threads; item 900
+        # is yielded, or raises, long before the last item starts.
+        started.append(k)
+        time.sleep(0.001)
+        if k in (900, 1200):
+            raise ValueError(k)
+        return k
+
+    def body():
+        threads_before = threading.active_count()
+        assert list(reference._ordered_map(square, range(900))) == [k * k for k in range(900)]
+        assert sorted(started) == list(range(900))
+        assert threading.active_count() == threads_before
+        started.clear()
+        results = reference._ordered_map(slow, range(3000))
+        assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+        results.close()
+        assert threading.active_count() == threads_before
+        assert len(started) == len(set(started)) < 3000
+        started.clear()
+        with pytest.raises(ValueError, match="^900$"):
+            list(reference._ordered_map(slow, range(3000)))
+        assert threading.active_count() == threads_before
+        assert len(started) == len(set(started)) < 3000 and 900 in started
+
+    _within(60, body)
 
 
 def _perfbench_wrap_targets(perfbench):
